@@ -4,8 +4,7 @@ from .classify import DecodePlan, PlanOptions, classify, option_sweep, plan_stat
 from .codec import combine, encode, f_step, g_step, polar_transform, sc_decode
 from .construction import PolarCode, construct_code, load_descriptor, save_descriptor
 from .crc import CRC8, CRC16, CrcSpec, crc_attach, crc_check
-from .fastsc import (decode_gpc_sc, decode_grep_sc, decode_rgpc_sc, fast_ssc_decode,
-                     grep_fold, wagner_decode)
+from .fastsc import decode_gpc_sc, decode_grep_sc, fast_ssc_decode, grep_fold, wagner_decode
 from .fastscl import fast_scl_decode
 from .latency import CostReport, cost_sc, cost_scl, latency_table
 from .listdec import pm_update, scl_decode

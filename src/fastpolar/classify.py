@@ -8,10 +8,11 @@ and recurse.
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["PlanOptions", "DecodePlan", "classify", "plan_stats",
+__all__ = ["PlanOptions", "DecodePlan", "classify", "leaves_only_plan", "plan_stats",
            "BASE_OPTIONS", "option_sweep"]
 
 
@@ -64,18 +65,24 @@ class DecodePlan:
     def size(self):
         return 1 << self.stage
 
+    @property
+    def children(self):
+        """Sub-plans by field name, in decode order."""
+        return {f: getattr(self, f) for f in _CHILD_FIELDS.get(self.kind, ())}
+
     def leaves(self):
+        """The nodes that tile the block: everything except splits."""
         if self.kind == "split":
-            yield from self.left.leaves()
-            yield from self.right.leaves()
+            for child in self.children.values():
+                yield from child.leaves()
         else:
             yield self
 
     def walk(self):
+        """Every node in pre-order, G-Rep Rate-C sub-plans included."""
         yield self
-        if self.kind == "split":
-            yield from self.left.walk()
-            yield from self.right.walk()
+        for child in self.children.values():
+            yield from child.walk()
 
     def pretty(self, indent=0):
         pad = "  " * indent
@@ -87,25 +94,22 @@ class DecodePlan:
             if self.kind == "rgpc":
                 extra += f" af={list(self.af_positions)}"
         lines = [f"{pad}{self.kind} size={self.size} offset={self.offset}{extra}"]
-        if self.kind == "split":
-            lines += self.left.pretty(indent + 1)
-            lines += self.right.pretty(indent + 1)
-        elif self.kind == "grep":
-            lines += self.rate_c.pretty(indent + 1)
+        for child in self.children.values():
+            lines += child.pretty(indent + 1)
         return lines
 
     def to_dict(self):
         d = {"kind": self.kind, "stage": self.stage, "offset": self.offset}
-        if self.kind == "split":
-            d["left"] = self.left.to_dict()
-            d["right"] = self.right.to_dict()
-        elif self.kind == "grep":
-            d["rate_c"] = self.rate_c.to_dict()
-        elif self.kind in ("gpc", "rgpc"):
+        for name, child in self.children.items():
+            d[name] = child.to_dict()
+        if self.kind in ("gpc", "rgpc"):
             d["np_sub"] = self.np_sub
             if self.kind == "rgpc":
                 d["af_positions"] = list(self.af_positions)
         return d
+
+
+_CHILD_FIELDS = {"split": ("left", "right"), "grep": ("rate_c",)}
 
 
 def _match_grep(flags, stage, offset, opts):
@@ -189,15 +193,25 @@ def classify(code, opts=BASE_OPTIONS):
 
 def plan_stats(plan):
     """Histogram of node kinds over the whole plan (split nodes included)."""
-    counts = Counter()
+    return dict(Counter(node.kind for node in plan.walk()))
 
-    def visit(node):
-        counts[node.kind] += 1
-        if node.kind == "split":
-            visit(node.left)
-            visit(node.right)
-        elif node.kind == "grep":
-            visit(node.rate_c)
 
-    visit(plan)
-    return dict(counts)
+def leaves_only_plan(code):
+    """The unpruned decode tree: splits down to size-1 Rate-0/Rate-1 leaves.
+
+    Plain SC and SCL are the plan walkers run on this plan.  Plans are
+    memoised per frozen pattern, so repeated decodes pay the build once.
+    """
+    return _leaves_only(code.flags.tobytes())
+
+
+@lru_cache(maxsize=32)
+def _leaves_only(flags):
+    def build(stage, offset):
+        if stage == 0:
+            return DecodePlan("rate1" if flags[offset] else "rate0", 0, offset)
+        half = 1 << (stage - 1)
+        return DecodePlan("split", stage, offset, left=build(stage - 1, offset),
+                          right=build(stage - 1, offset + half))
+
+    return build(len(flags).bit_length() - 1, 0)

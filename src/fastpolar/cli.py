@@ -14,15 +14,12 @@ import numpy as np
 from .classify import PlanOptions, classify, plan_stats
 from .codec import encode, sc_decode
 from .construction import construct_code, load_descriptor, save_descriptor
-from .crc import CRC8, CRC16
+from .crc import CRC_NAMES, crc_by_name
 from .fastsc import fast_ssc_decode
 from .fastscl import fast_scl_decode
 from .latency import latency_table
 from .listdec import scl_decode
 from .sim import load_sim_config, run_bler
-
-_CRC = {"none": None, "crc8": CRC8, "crc16": CRC16}
-
 
 def _read_vector(stream, dtype):
     data = stream.read().split()
@@ -63,10 +60,10 @@ def cmd_decode(args):
         plan = classify(code, _node_options(args))
         u_hat, _ = fast_ssc_decode(llrs, plan, minsum=args.minsum)
     elif args.algo == "scl":
-        u_hat, _ = scl_decode(llrs, code, args.list, _CRC[args.crc], minsum=args.minsum)
+        u_hat, _ = scl_decode(llrs, code, args.list, crc_by_name(args.crc), minsum=args.minsum)
     else:
         plan = classify(code, _node_options(args))
-        u_hat, _ = fast_scl_decode(llrs, code, plan, args.list, _CRC[args.crc],
+        u_hat, _ = fast_scl_decode(llrs, code, plan, args.list, crc_by_name(args.crc),
                                    minsum=args.minsum)
     _write_vector(sys.stdout, u_hat, "%d")
 
@@ -132,7 +129,7 @@ def build_parser():
     p.add_argument("--code", required=True)
     p.add_argument("--algo", choices=["sc", "fastssc", "scl", "ssclspc"], default="sc")
     p.add_argument("--list", type=int, default=4)
-    p.add_argument("--crc", choices=list(_CRC), default="none")
+    p.add_argument("--crc", choices=list(CRC_NAMES), default="none")
     p.add_argument("--nodes", choices=["base", "grep", "gpc", "rgpc"], default="gpc")
     p.add_argument("--max-af", dest="max_af", type=int, default=0)
     p.add_argument("--minsum", action="store_true")
@@ -147,7 +144,6 @@ def build_parser():
 
     p = sub.add_parser("latency", help="emit the node-set sweep of time-step costs")
     p.add_argument("--code", required=True)
-    p.add_argument("--sweep", action="store_true", help="kept for compatibility; always sweeps")
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=cmd_latency)
 

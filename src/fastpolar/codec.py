@@ -8,6 +8,8 @@ A node owning 2^t LLRs consumes its parent's 2^(t+1) values through
 
 import numpy as np
 
+from .classify import leaves_only_plan
+
 __all__ = ["encode", "polar_transform", "f_step", "g_step", "combine", "sc_decode",
            "sc_decode_batch"]
 
@@ -71,33 +73,24 @@ def combine(beta_left, beta_right):
     return np.concatenate([bl ^ br, br], axis=-1)
 
 
+def _llr_batch(channel_llrs, N):
+    """Channel LLRs as a float (B, N) array; one frame becomes a batch of one."""
+    alpha = np.atleast_2d(np.asarray(channel_llrs, dtype=np.float64))
+    if alpha.shape[-1] != N:
+        raise ValueError(f"expected {N} LLRs per frame, got {alpha.shape[-1]}")
+    return alpha
+
+
 def sc_decode_batch(channel_llrs, code, minsum=False):
     """SC-decode a (B, N) batch of LLR frames.
 
-    Returns (u_hat, x_hat), both (B, N) uint8 arrays.
+    Plain SC is the fast SC walker run on the leaves-only plan.  Returns
+    (u_hat, x_hat), both (B, N) uint8 arrays.
     """
-    alpha = np.atleast_2d(np.asarray(channel_llrs, dtype=np.float64))
-    B, N = alpha.shape
-    if N != code.N:
-        raise ValueError(f"expected {code.N} LLRs per frame, got {N}")
-    flags = code.flags
-    u_hat = np.zeros((B, N), dtype=np.uint8)
+    from .fastsc import _decode_node
 
-    def descend(a, lo, size):
-        if size == 1:
-            if flags[lo]:
-                bit = (a[:, 0] < 0).astype(np.uint8)
-            else:
-                bit = np.zeros(B, dtype=np.uint8)
-            u_hat[:, lo] = bit
-            return bit[:, None]
-        half = size // 2
-        bl = descend(f_step(a, minsum), lo, half)
-        br = descend(g_step(a, bl), lo + half, half)
-        return combine(bl, br)
-
-    x_hat = descend(alpha, 0, N)
-    return u_hat, x_hat
+    x_hat = _decode_node(_llr_batch(channel_llrs, code.N), leaves_only_plan(code), minsum)
+    return polar_transform(x_hat), x_hat
 
 
 def sc_decode(channel_llrs, code, minsum=False):

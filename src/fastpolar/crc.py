@@ -10,8 +10,8 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["CrcSpec", "CRC8", "CRC16", "crc_bits", "crc_attach", "crc_check",
-           "crc_check_batch"]
+__all__ = ["CrcSpec", "CRC8", "CRC16", "CRC_NAMES", "crc_by_name", "crc_bits", "crc_attach",
+           "crc_check", "crc_check_batch"]
 
 
 @dataclass(frozen=True)
@@ -25,6 +25,15 @@ class CrcSpec:
 
 CRC8 = CrcSpec(width=8, polynomial=0x07)
 CRC16 = CrcSpec(width=16, polynomial=0x1021)
+CRC_NAMES = {"none": None, "crc8": CRC8, "crc16": CRC16}
+
+
+def crc_by_name(name):
+    """The CrcSpec a CLI or config name stands for (None for "none")."""
+    try:
+        return CRC_NAMES[name]
+    except KeyError:
+        raise ValueError(f"unknown CRC {name!r}; choose one of {list(CRC_NAMES)}") from None
 
 
 def crc_bits(payload, spec):

@@ -1,17 +1,17 @@
 """Fast SC decoding of special nodes and the plan-driven decoder.
 
 Node decoders operate on the trailing axis and broadcast over leading
-batch axes; ``fast_ssc_decode_batch`` walks a DecodePlan instead of the
-full tree and is bit-exact with plain SC when only exact node kinds
-(everything except RG-PC) appear in the plan.
+batch axes; ``fast_ssc_decode_batch`` walks a DecodePlan and is bit-exact
+with plain SC when only exact node kinds (everything except RG-PC) appear
+in the plan.  Plain SC is this walker on the leaves-only plan.
 """
 
 import numpy as np
 
-from .codec import combine, f_step, g_step, polar_transform
+from .codec import _llr_batch, combine, f_step, g_step, polar_transform
 
 __all__ = ["grep_fold", "wagner_decode", "decode_grep_sc", "decode_gpc_sc",
-           "decode_rgpc_sc", "fast_ssc_decode", "fast_ssc_decode_batch"]
+           "fast_ssc_decode", "fast_ssc_decode_batch"]
 
 
 def grep_fold(alpha, p):
@@ -66,38 +66,40 @@ def decode_gpc_sc(alpha, np_sub):
     return np.swapaxes(beta, -1, -2).reshape(alpha.shape[:-1] + (size,))
 
 
-def decode_rgpc_sc(alpha, np_sub, af_positions=()):
-    """Relaxed G-PC: identical to G-PC, the AF-bit constraints are ignored."""
-    return decode_gpc_sc(alpha, np_sub)
+def _decode_rep(alpha, plan, minsum):
+    bit = (np.sum(alpha, axis=-1, keepdims=True) < 0).astype(np.uint8)
+    return np.broadcast_to(bit, alpha.shape).copy()
+
+
+def _decode_split(alpha, plan, minsum):
+    bl = _decode_node(f_step(alpha, minsum), plan.left, minsum)
+    br = _decode_node(g_step(alpha, bl), plan.right, minsum)
+    return combine(bl, br)
+
+
+# node kind -> decoder(alpha, plan, minsum) returning the node's partial
+# sums; the lambdas look module names up per call, so a wrapper installed
+# on e.g. ``fastsc.wagner_decode`` sees every node that uses it
+_NODE_DECODERS = {
+    "rate0": lambda alpha, plan, minsum: np.zeros(alpha.shape, dtype=np.uint8),
+    "rate1": lambda alpha, plan, minsum: (alpha < 0).astype(np.uint8),
+    "rep": _decode_rep,
+    "spc": lambda alpha, plan, minsum: wagner_decode(alpha),
+    "grep": lambda alpha, plan, minsum: decode_grep_sc(alpha, plan, minsum),
+    # RG-PC decodes as G-PC: its AF-bit constraints are ignored
+    "gpc": lambda alpha, plan, minsum: decode_gpc_sc(alpha, plan.np_sub),
+    "rgpc": lambda alpha, plan, minsum: decode_gpc_sc(alpha, plan.np_sub),
+    "split": _decode_split,
+}
 
 
 def _decode_node(alpha, plan, minsum):
-    kind = plan.kind
-    if kind == "rate0":
-        return np.zeros(alpha.shape, dtype=np.uint8)
-    if kind == "rate1":
-        return (alpha < 0).astype(np.uint8)
-    if kind == "rep":
-        bit = (np.sum(alpha, axis=-1, keepdims=True) < 0).astype(np.uint8)
-        return np.broadcast_to(bit, alpha.shape).copy()
-    if kind == "spc":
-        return wagner_decode(alpha)
-    if kind == "grep":
-        return decode_grep_sc(alpha, plan, minsum)
-    if kind in ("gpc", "rgpc"):
-        return decode_gpc_sc(alpha, plan.np_sub)
-    if kind == "split":
-        bl = _decode_node(f_step(alpha, minsum), plan.left, minsum)
-        br = _decode_node(g_step(alpha, bl), plan.right, minsum)
-        return combine(bl, br)
-    raise ValueError(f"unknown node kind {kind!r}")
+    return _NODE_DECODERS[plan.kind](alpha, plan, minsum)
 
 
 def fast_ssc_decode_batch(channel_llrs, plan, minsum=True):
     """Fast-SSC decode a (B, N) LLR batch; returns (u_hat, x_hat)."""
-    alpha = np.atleast_2d(np.asarray(channel_llrs, dtype=np.float64))
-    if alpha.shape[-1] != plan.size:
-        raise ValueError(f"expected {plan.size} LLRs per frame")
+    alpha = _llr_batch(channel_llrs, plan.size)
     x_hat = _decode_node(alpha, plan, minsum)
     return polar_transform(x_hat), x_hat
 

@@ -4,12 +4,13 @@ Special nodes fork and prune paths directly from the LLRs at the node
 root instead of descending to the leaves.  With the min-sum f-update the
 surviving path set (bit histories and metrics) matches tree-descent SCL
 exactly for every node kind except RG-PC, whose metric is exact only with
-respect to a descent that ignores the AF-bit constraints.
+respect to a descent that ignores the AF-bit constraints.  Plain SCL is
+this walker on the leaves-only plan.
 """
 
 import numpy as np
 
-from .codec import combine, f_step, g_step, polar_transform
+from .codec import _llr_batch, combine, f_step, g_step, polar_transform
 from .listdec import PathSet, select_output
 
 __all__ = ["fast_scl_decode", "fast_scl_decode_batch", "fast_scl_decode_paths_batch"]
@@ -29,15 +30,28 @@ def _gather(arr, src):
     return np.take_along_axis(arr, src[:, :, None], axis=1)
 
 
-def _extend_serial(ps, alpha, beta, cols):
-    """Bit-serial Rate-1 extension over ``cols``: one fork per column."""
-    for i in cols:
+def _extend_rate0(ps, alpha):
+    ps.penalize(_relu_neg(alpha).sum(axis=-1))
+    return np.zeros(alpha.shape, dtype=np.uint8)
+
+
+def _extend_serial(ps, alpha):
+    """Bit-serial Rate-1 extension: one fork per column."""
+    size = alpha.shape[-1]
+    beta = np.zeros(alpha.shape, dtype=np.uint8)
+    for i in range(size):
         a = alpha[:, :, i]
         src, bits = ps.fork(_relu_neg(a), _relu_pos(a))
-        alpha = _gather(alpha, src)
         beta = _gather(beta, src)
         beta[:, :, i] = bits
-    return alpha, beta
+        if i + 1 < size:
+            alpha = _gather(alpha, src)
+    return beta
+
+
+def _extend_rep(ps, alpha):
+    _, bits = ps.fork(_relu_neg(alpha).sum(axis=-1), _relu_pos(alpha).sum(axis=-1))
+    return np.repeat(bits[:, :, None], alpha.shape[-1], axis=2)
 
 
 def _toggle_at(bits, col, flip):
@@ -46,8 +60,8 @@ def _toggle_at(bits, col, flip):
     bits ^= f
 
 
-def _extend_spc_cols(ps, alpha, beta, cols):
-    """Single-parity-check extension over ``cols`` (Wagner with list forks).
+def _extend_spc(ps, alpha):
+    """Single-parity-check extension (Wagner with list forks).
 
     Per path, the least reliable column is the parity bit: its penalty is
     charged up front when the hard decisions violate parity, and every
@@ -57,19 +71,17 @@ def _extend_spc_cols(ps, alpha, beta, cols):
     flip state.  The resulting metric is the exact node-root metric of
     every even-parity candidate.
     """
-    colarr = np.asarray(cols)
-    M = colarr.size
-    sub = alpha[:, :, colarr]
-    absa = np.abs(sub)
+    M = alpha.shape[-1]
+    absa = np.abs(alpha)
     p_rel = np.argmin(absa, axis=-1)  # per-path parity-bit column
-    hd = (sub < 0).astype(np.uint8)
+    hd = (alpha < 0).astype(np.uint8)
     gamma = np.bitwise_xor.reduce(hd, axis=-1)
     pen_p = np.take_along_axis(absa, p_rel[..., None], -1)[..., 0]
     ps.penalize(gamma * pen_p)
     s_p = gamma.astype(np.uint8)  # 1 while the parity bit sits flipped
     bits = hd.copy()
     # natural column order with the per-path parity bit pushed out
-    idx = np.broadcast_to(np.arange(M), sub.shape).copy()
+    idx = np.broadcast_to(np.arange(M), alpha.shape).copy()
     order = np.argsort(np.where(idx == p_rel[..., None], M, idx), axis=-1,
                        kind="stable")[..., :M - 1]
     for e in range(M - 1):
@@ -77,8 +89,6 @@ def _extend_spc_cols(ps, alpha, beta, cols):
         a_j = np.take_along_axis(absa, j[..., None], -1)[..., 0]
         pen_flip = a_j + (1.0 - 2.0 * s_p) * pen_p
         src, flip = ps.fork(np.zeros_like(a_j), pen_flip)
-        alpha = _gather(alpha, src)
-        beta = _gather(beta, src)
         absa, bits, order = (_gather(x, src) for x in (absa, bits, order))
         pen_p = np.take_along_axis(pen_p, src, axis=1)
         s_p = np.take_along_axis(s_p, src, axis=1)
@@ -88,8 +98,7 @@ def _extend_spc_cols(ps, alpha, beta, cols):
         s_p = s_p ^ flip
     hd_p = np.take_along_axis(hd, p_rel[..., None], -1)[..., 0]
     np.put_along_axis(bits, p_rel[..., None], (hd_p ^ s_p)[..., None], axis=-1)
-    beta[:, :, colarr] = bits
-    return alpha, beta
+    return bits
 
 
 def _extend_gpc(ps, alpha, np_sub, minsum):
@@ -100,88 +109,75 @@ def _extend_gpc(ps, alpha, np_sub, minsum):
     extensions keeps the surviving paths identical to tree descent; the
     Np interleaved parity constraints are enforced by the structure.
     """
-    B, P, size = alpha.shape
-    if size == np_sub:
-        ps.penalize(_relu_neg(alpha).sum(axis=-1))
-        return np.zeros((B, P, size), dtype=np.uint8)
+    if alpha.shape[-1] == np_sub:
+        return _extend_rate0(ps, alpha)
     if np_sub == 1:
-        beta = np.zeros((B, P, size), dtype=np.uint8)
-        _, beta = _extend_spc_cols(ps, alpha, beta, list(range(size)))
-        return beta
+        return _extend_spc(ps, alpha)
     gen = len(ps.maps)
     bl = _extend_gpc(ps, f_step(alpha, minsum), np_sub, minsum)
     alpha = ps.realign(alpha, gen)
     gen_r = len(ps.maps)
-    half = size // 2
-    beta_r = np.zeros((B, ps.P, half), dtype=np.uint8)
-    _, br = _extend_serial(ps, g_step(alpha, bl), beta_r, list(range(half)))
+    br = _extend_serial(ps, g_step(alpha, bl))
     bl = ps.realign(bl, gen_r)
     return combine(bl, br)
 
 
+def _extend_grep(ps, alpha, plan, minsum):
+    # fold through the all-frozen left siblings, charging their Rate-0
+    # penalties level by level
+    size = alpha.shape[-1]
+    p = plan.rate_c.stage
+    while alpha.shape[-1] > (1 << p):
+        half = alpha.shape[-1] // 2
+        ps.penalize(_relu_neg(f_step(alpha, minsum)).sum(axis=-1))
+        alpha = alpha[..., half:] + alpha[..., :half]
+    beta_rc = _extend_node(ps, alpha, plan.rate_c, minsum)
+    return np.concatenate([beta_rc] * (size >> p), axis=-1)
+
+
+def _extend_split(ps, alpha, plan, minsum):
+    gen = len(ps.maps)
+    bl = _extend_node(ps, f_step(alpha, minsum), plan.left, minsum)
+    alpha = ps.realign(alpha, gen)
+    gen_r = len(ps.maps)
+    br = _extend_node(ps, g_step(alpha, bl), plan.right, minsum)
+    bl = ps.realign(bl, gen_r)
+    return combine(bl, br)
+
+
+# node kind -> extension(ps, alpha, plan, minsum) returning the (B, P, size)
+# partial sums of the surviving paths
+_NODE_EXTENDERS = {
+    "rate0": lambda ps, alpha, plan, minsum: _extend_rate0(ps, alpha),
+    "rate1": lambda ps, alpha, plan, minsum: _extend_serial(ps, alpha),
+    "rep": lambda ps, alpha, plan, minsum: _extend_rep(ps, alpha),
+    "spc": lambda ps, alpha, plan, minsum: _extend_spc(ps, alpha),
+    "grep": _extend_grep,
+    "gpc": lambda ps, alpha, plan, minsum: _extend_gpc(ps, alpha, plan.np_sub, minsum),
+    "rgpc": lambda ps, alpha, plan, minsum: _extend_gpc(ps, alpha, plan.np_sub, minsum),
+    "split": _extend_split,
+}
+
+
 def _extend_node(ps, alpha, plan, minsum):
-    kind = plan.kind
-    B, P, size = alpha.shape
-
-    if kind == "rate0":
-        ps.penalize(_relu_neg(alpha).sum(axis=-1))
-        return np.zeros((B, ps.P, size), dtype=np.uint8)
-
-    if kind == "rate1":
-        beta = np.zeros((B, P, size), dtype=np.uint8)
-        _, beta = _extend_serial(ps, alpha, beta, list(range(size)))
-        return beta
-
-    if kind == "rep":
-        src, bits = ps.fork(_relu_neg(alpha).sum(axis=-1), _relu_pos(alpha).sum(axis=-1))
-        return np.repeat(bits[:, :, None], size, axis=2)
-
-    if kind == "spc":
-        beta = np.zeros((B, P, size), dtype=np.uint8)
-        _, beta = _extend_spc_cols(ps, alpha, beta, list(range(size)))
-        return beta
-
-    if kind in ("gpc", "rgpc"):
-        return _extend_gpc(ps, alpha, plan.np_sub, minsum)
-
-    if kind == "grep":
-        # fold through the all-frozen left siblings, charging their
-        # Rate-0 penalties level by level
-        p = plan.rate_c.stage
-        while alpha.shape[-1] > (1 << p):
-            half = alpha.shape[-1] // 2
-            ps.penalize(_relu_neg(f_step(alpha, minsum)).sum(axis=-1))
-            alpha = alpha[..., half:] + alpha[..., :half]
-        beta_rc = _extend_node(ps, alpha, plan.rate_c, minsum)
-        reps = size >> p
-        return np.concatenate([beta_rc] * reps, axis=-1)
-
-    if kind == "split":
-        gen = len(ps.maps)
-        bl = _extend_node(ps, f_step(alpha, minsum), plan.left, minsum)
-        alpha = ps.realign(alpha, gen)
-        gen_r = len(ps.maps)
-        br = _extend_node(ps, g_step(alpha, bl), plan.right, minsum)
-        bl = ps.realign(bl, gen_r)
-        return combine(bl, br)
-
-    raise ValueError(f"unknown node kind {kind!r}")
+    return _NODE_EXTENDERS[plan.kind](ps, alpha, plan, minsum)
 
 
-def fast_scl_decode_paths_batch(channel_llrs, plan, L, minsum=True):
-    """Batched fast SCL; returns (u (B, P, N), pm (B, P)) sorted by metric."""
+def _decode_paths(alpha, plan, L, minsum):
+    """Walk ``plan`` over a (B, N) LLR batch; returns (u, pm) sorted by metric."""
     if L < 1:
         raise ValueError("list size must be >= 1")
-    alpha = np.atleast_2d(np.asarray(channel_llrs, dtype=np.float64))
-    B, N = alpha.shape
-    if N != plan.size:
-        raise ValueError(f"expected {plan.size} LLRs per frame")
-    ps = PathSet(B, N, L)
+    ps = PathSet(alpha.shape[0], L)
     beta = _extend_node(ps, alpha[:, None, :], plan, minsum)
     order = np.argsort(ps.pm, axis=1, kind="stable")
     pm = np.take_along_axis(ps.pm, order, axis=1)
     x = np.take_along_axis(beta, order[:, :, None], axis=1)
     return polar_transform(x), pm
+
+
+def fast_scl_decode_paths_batch(channel_llrs, plan, L, minsum=True):
+    """Batched fast SCL; returns (u (B, P, N), pm (B, P)) sorted by metric."""
+    return _decode_paths(_llr_batch(channel_llrs, plan.size), plan, L, minsum)
 
 
 def fast_scl_decode_batch(channel_llrs, code, plan, L, crc=None, minsum=True):

@@ -29,66 +29,41 @@ class CostReport:
             raise ValueError("total does not match the breakdown")
 
 
-def _node_cost_sc(node, acc):
-    if node.kind == "split":
-        acc["split"] += 2  # one f step, one g step
-        _node_cost_sc(node.left, acc)
-        _node_cost_sc(node.right, acc)
-    elif node.kind in ("rate0", "rate1"):
-        acc[node.kind] += 1
-    elif node.kind == "rep":
-        acc["rep"] += 2
-    elif node.kind == "spc":
-        acc["spc"] += 3
-    elif node.kind in ("gpc", "rgpc"):
-        acc[node.kind] += 3
-    elif node.kind == "grep":
-        acc["grep"] += 1
-        _node_cost_sc(node.rate_c, acc)
-    else:
-        raise ValueError(node.kind)
+def _parity_prices(node):
+    return 3, 1 + math.ceil(2 * (node.size - 1) / node.np_sub)
 
 
-def _node_cost_scl(node, acc):
-    size = node.size
-    if node.kind == "split":
-        acc["split"] += 2
-        _node_cost_scl(node.left, acc)
-        _node_cost_scl(node.right, acc)
-    elif node.kind == "rate0":
-        acc["rate0"] += 1
-    elif node.kind == "rate1":
-        acc["rate1"] += 2 * size
-    elif node.kind == "rep":
-        acc["rep"] += 1 + size
-    elif node.kind == "spc":
-        acc["spc"] += 2 * size - 1
-    elif node.kind in ("gpc", "rgpc"):
-        acc[node.kind] += 1 + math.ceil(2 * (size - 1) / node.np_sub)
-    elif node.kind == "grep":
-        acc["grep"] += 1
-        _node_cost_scl(node.rate_c, acc)
-    else:
-        raise ValueError(node.kind)
+# node kind -> (SC steps, SCL steps) of one node; a split's two steps are
+# its f and g updates, and a G-Rep's Rate-C child is priced as a node of
+# its own
+_PRICES = {
+    "rate0": lambda node: (1, 1),
+    "rate1": lambda node: (1, 2 * node.size),
+    "rep": lambda node: (2, 1 + node.size),
+    "spc": lambda node: (3, 2 * node.size - 1),
+    "grep": lambda node: (1, 1),
+    "gpc": _parity_prices,
+    "rgpc": _parity_prices,
+    "split": lambda node: (2, 2),
+}
 
 
-def _report(plan, decoder, node_set, walker):
-    from collections import defaultdict
-
-    acc = defaultdict(int)
-    walker(plan, acc)
-    per_node = dict(acc)
+def _report(plan, decoder, node_set):
+    col = ("sc", "scl").index(decoder)
+    per_node = {}
+    for node in plan.walk():
+        per_node[node.kind] = per_node.get(node.kind, 0) + _PRICES[node.kind](node)[col]
     return CostReport(decoder, node_set, sum(per_node.values()), per_node)
 
 
 def cost_sc(plan, node_set="custom"):
     """Total SC decoding time steps for a plan."""
-    return _report(plan, "sc", node_set, _node_cost_sc)
+    return _report(plan, "sc", node_set)
 
 
 def cost_scl(plan, node_set="custom"):
     """Total SCL decoding time steps for a plan."""
-    return _report(plan, "scl", node_set, _node_cost_scl)
+    return _report(plan, "scl", node_set)
 
 
 def latency_table(code, max_af_sweep=(1, 2, 3)):

@@ -1,7 +1,8 @@
 """SC-list decoding with LLR path metrics, CRC-aided selection.
 
 Paths fork at information leaves and the L lowest-metric candidates
-survive (stable tie-break on candidate creation order).  The decoder is
+survive (stable tie-break on candidate creation order); the schedule is
+the fast SCL walker's on the leaves-only plan.  The decoder is
 vectorized over frames and paths: every frame of a batch holds the same
 number of alive paths at any point because fork/prune events depend only
 on the frozen pattern, never on the data.
@@ -9,7 +10,8 @@ on the frozen pattern, never on the data.
 
 import numpy as np
 
-from .codec import combine, f_step, g_step
+from .classify import leaves_only_plan
+from .codec import _llr_batch
 from .crc import crc_check_batch
 
 __all__ = ["pm_update", "scl_decode", "scl_decode_batch", "scl_decode_paths_batch",
@@ -30,14 +32,12 @@ class PathSet:
     before the event (lazy row remapping instead of eager copies).
     """
 
-    def __init__(self, B, N, L):
+    def __init__(self, B, L):
         self.B = B
-        self.N = N
         self.L = L
         self.P = 1
         self.pm = np.zeros((B, 1))
         self.maps = []
-        self.decisions = []  # (map index, column, per-row bits)
 
     def lineage(self, gen):
         """Row indices mapping the current path set back to generation ``gen``."""
@@ -73,71 +73,17 @@ class PathSet:
     def penalize(self, pen):
         self.pm = self.pm + pen
 
-    def record(self, col, bits):
-        """Log a decided bit column; materialized by ``bit_histories``."""
-        self.decisions.append((len(self.maps) - 1, col, bits))
-
-    def bit_histories(self):
-        """(B, P, N) decided bits of the surviving paths, zeros elsewhere.
-
-        Walks the prune events backwards, scattering each recorded column
-        through the lineage of the final path set.
-        """
-        u = np.zeros((self.B, self.P, self.N), dtype=np.uint8)
-        idx = np.broadcast_to(np.arange(self.P), (self.B, self.P))
-        ev = len(self.decisions) - 1
-        for gen in range(len(self.maps) - 1, -1, -1):
-            while ev >= 0 and self.decisions[ev][0] == gen:
-                _, col, bits = self.decisions[ev]
-                u[:, :, col] = np.take_along_axis(bits, idx, axis=1)
-                ev -= 1
-            idx = np.take_along_axis(self.maps[gen], idx, axis=1)
-        return u
-
-
-def _leaf(ps, alpha, idx, frozen):
-    a = alpha[:, :, 0]
-    pen0 = np.where(a < 0, -a, 0.0)
-    if frozen:
-        ps.penalize(pen0)
-        return np.zeros((ps.B, ps.P, 1), dtype=np.uint8)
-    pen1 = np.where(a >= 0, a, 0.0)
-    src, bits = ps.fork(pen0, pen1)
-    ps.record(idx, bits)
-    return bits[:, :, None]
-
-
-def _descend(ps, alpha, lo, size, flags, minsum):
-    if size == 1:
-        return _leaf(ps, alpha, lo, flags[lo] == 0)
-    half = size // 2
-    gen = len(ps.maps)
-    bl = _descend(ps, f_step(alpha, minsum), lo, half, flags, minsum)
-    alpha = ps.realign(alpha, gen)
-    gen_r = len(ps.maps)
-    br = _descend(ps, g_step(alpha, bl), lo + half, half, flags, minsum)
-    bl = ps.realign(bl, gen_r)
-    return combine(bl, br)
-
 
 def scl_decode_paths_batch(channel_llrs, code, L, minsum=False):
     """Run batched SCL and return the full surviving path sets.
 
-    Returns (u, pm): (B, P, N) bit histories and (B, P) metrics, rows
-    sorted by metric (stable).
+    Plain SCL is the fast SCL walker run on the leaves-only plan.  Returns
+    (u, pm): (B, P, N) bit histories and (B, P) metrics, rows sorted by
+    metric (stable).
     """
-    if L < 1:
-        raise ValueError("list size must be >= 1")
-    alpha = np.atleast_2d(np.asarray(channel_llrs, dtype=np.float64))
-    B, N = alpha.shape
-    if N != code.N:
-        raise ValueError(f"expected {code.N} LLRs per frame, got {N}")
-    ps = PathSet(B, N, L)
-    _descend(ps, alpha[:, None, :], 0, N, code.flags, minsum)
-    order = np.argsort(ps.pm, axis=1, kind="stable")
-    pm = np.take_along_axis(ps.pm, order, axis=1)
-    u = np.take_along_axis(ps.bit_histories(), order[:, :, None], axis=1)
-    return u, pm
+    from .fastscl import _decode_paths
+
+    return _decode_paths(_llr_batch(channel_llrs, code.N), leaves_only_plan(code), L, minsum)
 
 
 def select_output(u, pm, code, crc=None):

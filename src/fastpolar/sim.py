@@ -17,7 +17,7 @@ import numpy as np
 from .classify import PlanOptions, classify
 from .codec import encode, sc_decode_batch
 from .construction import PolarCode, load_descriptor
-from .crc import CRC8, CRC16, CrcSpec, crc_attach
+from .crc import CrcSpec, crc_attach, crc_by_name
 from .fastsc import fast_ssc_decode_batch
 from .fastscl import fast_scl_decode_batch
 from .listdec import scl_decode_batch
@@ -25,7 +25,6 @@ from .listdec import scl_decode_batch
 __all__ = ["SimConfig", "SimPoint", "SimResult", "awgn_bpsk_llrs", "run_bler",
            "load_sim_config"]
 
-_CRC_NAMES = {"none": None, "crc8": CRC8, "crc16": CRC16}
 _DECODERS = ("sc", "fastssc", "scl", "ssclspc")
 
 
@@ -58,8 +57,9 @@ class SimConfig:
     def __post_init__(self):
         if self.decoder not in _DECODERS:
             raise ValueError(f"decoder must be one of {_DECODERS}")
-        if self.min_errors < 1:
-            raise ValueError("min_errors must be >= 1")
+        for name in ("list_size", "min_errors", "max_frames", "batch"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         snr = tuple(float(s) for s in self.snr_db)
         if not snr or any(b <= a for a, b in zip(snr, snr[1:])):
             raise ValueError("snr_db must be nonempty and strictly increasing")
@@ -202,7 +202,7 @@ def run_bler(cfg, label=""):
         lo, hi = wilson_interval(ferr, frames)
         result.points.append(SimPoint(
             snr_db=snr, frames=frames, frame_errors=ferr, bit_errors=berr,
-            bler=ferr / frames if frames else 0.0, bler_ci_lo=lo, bler_ci_hi=hi,
+            bler=ferr / frames, bler_ci_lo=lo, bler_ci_hi=hi,
             seconds=time.perf_counter() - t0))
     return result
 
@@ -220,7 +220,7 @@ def load_sim_config(path):
     code = load_descriptor(code_path)
     crc = raw.pop("crc", "none")
     if isinstance(crc, str):
-        crc = _CRC_NAMES[crc]
+        crc = crc_by_name(crc)
     elif isinstance(crc, dict):
         crc = CrcSpec(**crc)
     known = {f for f in SimConfig.__dataclass_fields__} - {"code", "crc"}

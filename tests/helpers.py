@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from fastpolar.codec import f_step, g_step, polar_transform
+from fastpolar.codec import combine, f_step, g_step, polar_transform
 
 
 def kron_generator(n):
@@ -58,3 +58,121 @@ def ml_even_parity(alpha):
         if corr > best_corr:
             best, best_corr = word, corr
     return best
+
+
+
+def sc_descent_batch(llrs, code, minsum=False):
+    """Reference plain SC: recursive tree descent, deciding each leaf in turn.
+
+    Returns (u_hat, x_hat) for a (B, N) batch.
+    """
+    alpha = np.atleast_2d(np.asarray(llrs, dtype=np.float64))
+    B, N = alpha.shape
+    flags = code.flags
+    u_hat = np.zeros((B, N), dtype=np.uint8)
+
+    def descend(a, lo, size):
+        if size == 1:
+            if flags[lo]:
+                bit = (a[:, 0] < 0).astype(np.uint8)
+            else:
+                bit = np.zeros(B, dtype=np.uint8)
+            u_hat[:, lo] = bit
+            return bit[:, None]
+        half = size // 2
+        bl = descend(f_step(a, minsum), lo, half)
+        br = descend(g_step(a, bl), lo + half, half)
+        return combine(bl, br)
+
+    x_hat = descend(alpha, 0, N)
+    return u_hat, x_hat
+
+
+class _DescentPaths:
+    """Alive paths of the reference SCL, with their decided bits.
+
+    ``maps`` records, per prune event, which pre-event row each surviving
+    row came from; ``decisions`` logs every decided bit column, and
+    ``bit_histories`` rebuilds the final paths' bits by walking the events
+    backwards.
+    """
+
+    def __init__(self, B, N, L):
+        self.B, self.N, self.L = B, N, L
+        self.P = 1
+        self.pm = np.zeros((B, 1))
+        self.maps = []
+        self.decisions = []  # (map index, column, per-row bits)
+
+    def realign(self, arr, gen):
+        """Gather rows of a (B, P_gen, ...) array for the current path set."""
+        if gen == len(self.maps):
+            return arr
+        idx = np.broadcast_to(np.arange(self.P), (self.B, self.P))
+        for m in reversed(self.maps[gen:]):
+            idx = np.take_along_axis(m, idx, axis=1)
+        return np.take_along_axis(arr, idx.reshape(idx.shape + (1,) * (arr.ndim - 2)), axis=1)
+
+    def fork(self, pen0, pen1):
+        """Split every path on one bit, keep the L best (stable); returns the bits."""
+        cand = np.concatenate([self.pm + pen0, self.pm + pen1], axis=1)
+        newP = min(2 * self.P, self.L)
+        order = np.argsort(cand, axis=1, kind="stable")[:, :newP]
+        bits = (order >= self.P).astype(np.uint8)
+        self.pm = np.take_along_axis(cand, order, axis=1)
+        self.maps.append(order % self.P)
+        self.P = newP
+        return bits
+
+    def record(self, col, bits):
+        self.decisions.append((len(self.maps) - 1, col, bits))
+
+    def bit_histories(self):
+        """(B, P, N) decided bits of the surviving paths, zeros elsewhere."""
+        u = np.zeros((self.B, self.P, self.N), dtype=np.uint8)
+        idx = np.broadcast_to(np.arange(self.P), (self.B, self.P))
+        ev = len(self.decisions) - 1
+        for gen in range(len(self.maps) - 1, -1, -1):
+            while ev >= 0 and self.decisions[ev][0] == gen:
+                _, col, bits = self.decisions[ev]
+                u[:, :, col] = np.take_along_axis(bits, idx, axis=1)
+                ev -= 1
+            idx = np.take_along_axis(self.maps[gen], idx, axis=1)
+        return u
+
+
+def scl_descent_paths_batch(llrs, code, L, minsum=False):
+    """Reference SCL: tree descent forking at every information leaf.
+
+    Returns (u, pm): (B, P, N) bit histories and (B, P) metrics, rows
+    sorted by metric (stable).
+    """
+    alpha = np.atleast_2d(np.asarray(llrs, dtype=np.float64))
+    B, N = alpha.shape
+    flags = code.flags
+    ps = _DescentPaths(B, N, L)
+
+    def descend(a, lo, size):
+        if size == 1:
+            a = a[:, :, 0]
+            pen0 = np.where(a < 0, -a, 0.0)
+            if not flags[lo]:
+                ps.pm = ps.pm + pen0
+                return np.zeros((B, ps.P, 1), dtype=np.uint8)
+            bits = ps.fork(pen0, np.where(a >= 0, a, 0.0))
+            ps.record(lo, bits)
+            return bits[:, :, None]
+        half = size // 2
+        gen = len(ps.maps)
+        bl = descend(f_step(a, minsum), lo, half)
+        a = ps.realign(a, gen)
+        gen_r = len(ps.maps)
+        br = descend(g_step(a, bl), lo + half, half)
+        bl = ps.realign(bl, gen_r)
+        return combine(bl, br)
+
+    descend(alpha[:, None, :], 0, N)
+    order = np.argsort(ps.pm, axis=1, kind="stable")
+    pm = np.take_along_axis(ps.pm, order, axis=1)
+    u = np.take_along_axis(ps.bit_histories(), order[:, :, None], axis=1)
+    return u, pm

@@ -10,14 +10,14 @@ import numpy as np
 import pytest
 
 from fastpolar.classify import BASE_OPTIONS, PlanOptions, classify
-from fastpolar.codec import polar_transform, sc_decode_batch
+from fastpolar.codec import polar_transform
 from fastpolar.construction import construct_code
 from fastpolar.crc import CRC8, CRC16
 from fastpolar.fastsc import fast_ssc_decode_batch, wagner_decode
 from fastpolar.fastscl import fast_scl_decode_paths_batch
 from fastpolar.latency import cost_sc, cost_scl, latency_table
-from fastpolar.listdec import scl_decode_paths_batch
 from fastpolar.sim import SimConfig, awgn_bpsk_llrs, run_bler
+from helpers import sc_descent_batch, scl_descent_paths_batch
 
 pytestmark = pytest.mark.acceptance
 
@@ -93,7 +93,7 @@ def test_criterion_2_fast_sc_bit_exact():
         for num, den in RATES:
             code = construct_code(n, round(N * num / den), 0.5)
             llrs = random_frames(code, 10_000, 0.9, rng)
-            u_sc, _ = sc_decode_batch(llrs, code, minsum=True)
+            u_sc, _ = sc_descent_batch(llrs, code, minsum=True)
             u_f, _ = fast_ssc_decode_batch(llrs, classify(code, GEN), minsum=True)
             bad += int((u_sc != u_f).any(axis=1).sum())
     dt = time.perf_counter() - t0
@@ -112,7 +112,7 @@ def test_criterion_3_fast_scl_matches_descent():
         plan = classify(code, GEN)
         for L in (2, 4, 8):
             llrs = random_frames(code, 1000, 0.9, rng)
-            u_r, pm_r = scl_decode_paths_batch(llrs, code, L, minsum=True)
+            u_r, pm_r = scl_descent_paths_batch(llrs, code, L, minsum=True)
             u_f, pm_f = fast_scl_decode_paths_batch(llrs, plan, L, minsum=True)
             for b in range(1000):
                 ref = sorted((float(p), tuple(int(x) for x in row))

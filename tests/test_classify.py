@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fastpolar.classify import BASE_OPTIONS, PlanOptions, classify, option_sweep, plan_stats
+from fastpolar.classify import (BASE_OPTIONS, PlanOptions, classify, leaves_only_plan,
+                                option_sweep, plan_stats)
 from fastpolar.construction import PolarCode, construct_code
 
 GEN = PlanOptions(enable_grep=True, enable_gpc=True)
@@ -188,3 +189,24 @@ def test_random_flags_round_trip_json(n, seed):
     plan = classify(make_code(flags), PlanOptions(True, True, 2))
     d = plan.to_dict()
     assert d["kind"] == plan.kind and d["stage"] == n
+
+
+def test_walk_enters_grep_rate_c():
+    plan = classify(construct_code(8, 40, 0.5), GEN)
+    nodes = list(plan.walk())
+    assert len(nodes) == sum(plan_stats(plan).values())
+    walked = {id(node) for node in nodes}
+    inner = [rc for g in nodes if g.kind == "grep" for rc in g.rate_c.walk()]
+    assert inner and all(id(rc) in walked for rc in inner)
+
+
+def test_leaves_only_plan():
+    code = construct_code(6, 20, 0.5)
+    plan = leaves_only_plan(code)
+    leaves = list(plan.leaves())
+    assert [leaf.offset for leaf in leaves] == list(range(code.N))
+    assert all(leaf.size == 1 for leaf in leaves)
+    assert [leaf.kind == "rate1" for leaf in leaves] == list(code.flags == 1)
+    assert plan_stats(plan)["split"] == code.N - 1
+    # memoised per frozen pattern, not per code object
+    assert leaves_only_plan(construct_code(6, 20, 0.5)) is plan

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from fastpolar.codec import combine, encode, f_step, g_step, polar_transform, sc_decode, sc_decode_batch
 from fastpolar.construction import PolarCode, construct_code
-from helpers import kron_generator
+from helpers import kron_generator, sc_descent_batch
 
 
 def test_encode_all_zero():
@@ -132,3 +132,17 @@ def test_sc_minsum_scale_invariance():
     for c in (0.1, 3.0, 250.0):
         scaled, _ = sc_decode_batch(c * llrs, code, minsum=True)
         assert np.array_equal(base, scaled)
+
+
+@given(st.integers(0, 7), st.integers(0, 10 ** 6), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_sc_equals_descent_oracle(n, seed, minsum):
+    # plain SC is the plan walker on the leaves-only plan; the oracle is an
+    # independent tree descent
+    rng = np.random.default_rng(seed)
+    flags = rng.integers(0, 2, 1 << n, dtype=np.uint8)
+    code = PolarCode(n, int(flags.sum()), flags, 0.5)
+    llrs = rng.normal(size=(20, code.N)) * 2
+    u_hat, x_hat = sc_decode_batch(llrs, code, minsum=minsum)
+    u_ref, x_ref = sc_descent_batch(llrs, code, minsum=minsum)
+    assert np.array_equal(u_hat, u_ref) and np.array_equal(x_hat, x_ref)

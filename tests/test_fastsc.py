@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from fastpolar.classify import PlanOptions, classify
-from fastpolar.codec import encode, g_step, sc_decode_batch
+from fastpolar.codec import encode, g_step
 from fastpolar.construction import PolarCode, construct_code
-from fastpolar.fastsc import (decode_gpc_sc, decode_grep_sc, decode_rgpc_sc,
-                              fast_ssc_decode_batch, grep_fold, wagner_decode)
-from helpers import ml_even_parity
+from fastpolar.fastsc import (decode_gpc_sc, decode_grep_sc, fast_ssc_decode_batch, grep_fold,
+                              wagner_decode)
+from helpers import ml_even_parity, sc_descent_batch
 
 GEN = PlanOptions(enable_grep=True, enable_gpc=True)
 
@@ -95,12 +95,6 @@ def test_gpc_np1_is_wagner():
     assert np.array_equal(decode_gpc_sc(alpha, 1), wagner_decode(alpha))
 
 
-def test_rgpc_equals_gpc():
-    rng = np.random.default_rng(3)
-    alpha = rng.normal(size=(20, 16))
-    assert np.array_equal(decode_rgpc_sc(alpha, 4, (5, 9)), decode_gpc_sc(alpha, 4))
-
-
 @pytest.mark.parametrize("flags", [
     [0, 0, 0, 1],
     [0, 0, 1, 1],
@@ -113,7 +107,7 @@ def test_special_nodes_match_tree_descent(flags):
     plan = classify(code, GEN)
     rng = np.random.default_rng(len(flags))
     llrs = rng.normal(size=(2000, code.N)) * 2
-    u_sc, x_sc = sc_decode_batch(llrs, code, minsum=True)
+    u_sc, x_sc = sc_descent_batch(llrs, code, minsum=True)
     u_f, x_f = fast_ssc_decode_batch(llrs, plan, minsum=True)
     assert np.array_equal(u_sc, u_f)
     assert np.array_equal(x_sc, x_f)
@@ -124,7 +118,7 @@ def test_fast_ssc_equals_sc_random_codes(n, K):
     code = construct_code(n, K, 0.5)
     rng = np.random.default_rng(n * 100 + K)
     llrs = rng.normal(size=(1000, code.N)) * 2
-    u_sc, _ = sc_decode_batch(llrs, code, minsum=True)
+    u_sc, _ = sc_descent_batch(llrs, code, minsum=True)
     for opts in (PlanOptions(), PlanOptions(True), GEN):
         u_f, _ = fast_ssc_decode_batch(llrs, classify(code, opts), minsum=True)
         assert np.array_equal(u_sc, u_f)

@@ -5,8 +5,8 @@ from fastpolar.classify import PlanOptions, classify
 from fastpolar.construction import PolarCode, construct_code
 from fastpolar.fastsc import fast_ssc_decode_batch
 from fastpolar.fastscl import fast_scl_decode_batch, fast_scl_decode_paths_batch
-from fastpolar.listdec import scl_decode_batch, scl_decode_paths_batch
-from helpers import canon_paths, path_metric_of
+from fastpolar.listdec import select_output
+from helpers import canon_paths, path_metric_of, scl_descent_paths_batch
 
 GEN = PlanOptions(enable_grep=True, enable_gpc=True)
 
@@ -19,7 +19,7 @@ def make_code(flags):
 def assert_path_sets_equal(code, plan, L, frames, seed):
     rng = np.random.default_rng(seed)
     llrs = rng.normal(size=(frames, code.N)) * 2.5
-    u_ref, pm_ref = scl_decode_paths_batch(llrs, code, L, minsum=True)
+    u_ref, pm_ref = scl_descent_paths_batch(llrs, code, L, minsum=True)
     u_fast, pm_fast = fast_scl_decode_paths_batch(llrs, plan, L, minsum=True)
     for b in range(frames):
         assert canon_paths(u_ref[b], pm_ref[b]) == canon_paths(u_fast[b], pm_fast[b]), \
@@ -44,7 +44,7 @@ def test_rep_fork_metrics():
     llrs = np.array([[1.0, -2.0, 3.0, -4.0]])
     u, pm = fast_scl_decode_paths_batch(llrs, plan, 2, minsum=True)
     got = canon_paths(u[0], pm[0])
-    ref_u, ref_pm = scl_decode_paths_batch(llrs, code, 2, minsum=True)
+    ref_u, ref_pm = scl_descent_paths_batch(llrs, code, 2, minsum=True)
     assert got == canon_paths(ref_u[0], ref_pm[0])
     # all-ones codeword wins (u3=1): positives 1 and 3 disagree with it
     assert got[0] == (pytest.approx(4.0), (0, 0, 0, 1))
@@ -132,7 +132,7 @@ def test_crc_aided_selection():
     u[:, code.info_indices] = np.stack([crc_attach(p, CRC8) for p in payload])
     llrs = (1.0 - 2.0 * polar_transform(u)) * 1.5 + rng.normal(size=(400, 64))
     u_fast, _ = fast_scl_decode_batch(llrs, code, plan, 8, crc=CRC8, minsum=True)
-    u_ref, _ = scl_decode_batch(llrs, code, 8, crc=CRC8, minsum=True)
+    u_ref, _ = select_output(*scl_descent_paths_batch(llrs, code, 8, minsum=True), code, CRC8)
     assert np.array_equal(u_fast, u_ref)
 
 

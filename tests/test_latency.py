@@ -3,6 +3,7 @@ import pytest
 
 from fastpolar.classify import BASE_OPTIONS, PlanOptions, classify
 from fastpolar.construction import PolarCode, construct_code
+from fastpolar import fastsc, fastscl, latency
 from fastpolar.latency import CostReport, cost_sc, cost_scl, latency_table
 
 GEN = PlanOptions(enable_grep=True, enable_gpc=True)
@@ -81,3 +82,13 @@ def test_columns_monotone_and_scl_dominates(n, K):
         assert all(a >= b for a, b in zip(steps, steps[1:])), (dec, steps)
     for sc_rep, scl_rep in zip(table["sc"], table["scl"]):
         assert scl_rep.total_steps >= sc_rep.total_steps
+
+
+def test_node_kind_tables_agree():
+    # every node kind has an SC decoder, an SCL extension and a price
+    kinds = set(latency._PRICES)
+    assert set(fastsc._NODE_DECODERS) == kinds
+    assert set(fastscl._NODE_EXTENDERS) == kinds
+    code = construct_code(8, 100, 0.5)
+    for opts in (BASE_OPTIONS, GEN, PlanOptions(True, True, 2)):
+        assert {node.kind for node in classify(code, opts).walk()} <= kinds

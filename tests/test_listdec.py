@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fastpolar.codec import polar_transform, sc_decode_batch
+from fastpolar.codec import polar_transform
 from fastpolar.construction import PolarCode, construct_code
 from fastpolar.crc import CRC8, crc_attach
 from fastpolar.listdec import pm_update, scl_decode, scl_decode_batch, scl_decode_paths_batch
-from helpers import canon_paths, path_metric_of
+from helpers import canon_paths, path_metric_of, sc_descent_batch, scl_descent_paths_batch
 
 
 def make_code(flags):
@@ -25,7 +27,7 @@ def test_list_one_equals_sc(minsum):
     code = construct_code(6, 32, 0.5)
     rng = np.random.default_rng(1)
     llrs = rng.normal(size=(300, 64)) * 2
-    u_sc, _ = sc_decode_batch(llrs, code, minsum=minsum)
+    u_sc, _ = sc_descent_batch(llrs, code, minsum=minsum)
     u_l, _ = scl_decode_batch(llrs, code, 1, minsum=minsum)
     assert np.array_equal(u_sc, u_l)
 
@@ -157,3 +159,16 @@ def test_single_frame_wrapper():
     u1, pm1 = scl_decode(llrs, code, 4, minsum=True)
     ub, pmb = scl_decode_batch(llrs[None], code, 4, minsum=True)
     assert np.array_equal(u1, ub[0]) and pm1 == pytest.approx(float(pmb[0]))
+
+
+@given(st.integers(0, 6), st.integers(0, 10 ** 6), st.sampled_from([1, 2, 4, 8]), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_scl_equals_descent_oracle(n, seed, L, minsum):
+    # plain SCL is the fast SCL walker on the leaves-only plan; the oracle
+    # is an independent tree descent that records every decided bit
+    rng = np.random.default_rng(seed)
+    code = make_code(rng.integers(0, 2, 1 << n, dtype=np.uint8))
+    llrs = rng.normal(size=(10, code.N)) * 2
+    u, pm = scl_decode_paths_batch(llrs, code, L, minsum=minsum)
+    u_ref, pm_ref = scl_descent_paths_batch(llrs, code, L, minsum=minsum)
+    assert np.array_equal(u, u_ref) and np.array_equal(pm, pm_ref)

@@ -111,6 +111,9 @@ def test_config_validation():
         SimConfig(code=code, crc=CRC8)  # 8 CRC bits leave no payload headroom
     with pytest.raises(ValueError):
         SimConfig(code=code, snr_unit="db")
+    for field in ("batch", "max_frames", "list_size"):
+        with pytest.raises(ValueError, match=field):
+            SimConfig(code=code, **{field: 0})
 
 
 def test_csv_format():
@@ -150,3 +153,11 @@ def test_load_sim_config_custom_crc(tmp_path):
                                 "crc": {"width": 4, "polynomial": 0x3}}))
     cfg = load_sim_config(path)
     assert cfg.crc.width == 4 and cfg.crc.polynomial == 0x3
+
+
+def test_load_sim_config_unknown_crc_name(tmp_path):
+    save_descriptor(construct_code(5, 16, 0.5), tmp_path / "code.json")
+    path = tmp_path / "sim.json"
+    path.write_text(json.dumps({"code": "code.json", "crc": "crc32"}))
+    with pytest.raises(ValueError, match="crc32.*crc16"):
+        load_sim_config(path)
