@@ -21,6 +21,7 @@ from .latency import latency_table
 from .listdec import scl_decode
 from .sim import load_sim_config, run_bler
 
+
 def _read_vector(stream, dtype):
     data = stream.read().split()
     return np.array([dtype(tok) for tok in data])

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from fastpolar import fastsc, fastscl, latency
 from fastpolar.classify import BASE_OPTIONS, PlanOptions, classify
 from fastpolar.construction import PolarCode, construct_code
-from fastpolar import fastsc, fastscl, latency
 from fastpolar.latency import CostReport, cost_sc, cost_scl, latency_table
 
 GEN = PlanOptions(enable_grep=True, enable_gpc=True)

@@ -7,7 +7,7 @@ from fastpolar.codec import polar_transform
 from fastpolar.construction import PolarCode, construct_code
 from fastpolar.crc import CRC8, crc_attach
 from fastpolar.listdec import pm_update, scl_decode, scl_decode_batch, scl_decode_paths_batch
-from helpers import canon_paths, path_metric_of, sc_descent_batch, scl_descent_paths_batch
+from helpers import path_metric_of, sc_descent_batch, scl_descent_paths_batch
 
 
 def make_code(flags):
