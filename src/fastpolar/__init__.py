@@ -7,7 +7,7 @@ from .crc import CRC8, CRC16, CrcSpec, crc_attach, crc_check
 from .fastsc import decode_gpc_sc, decode_grep_sc, fast_ssc_decode, grep_fold, wagner_decode
 from .fastscl import fast_scl_decode
 from .latency import CostReport, cost_sc, cost_scl, latency_table
-from .listdec import pm_update, scl_decode
+from .listdec import scl_decode
 from .sim import SimConfig, SimResult, awgn_bpsk_llrs, run_bler
 
 __version__ = "0.1.0"

@@ -21,7 +21,6 @@ class PlanOptions:
     enable_grep: bool = False
     enable_gpc: bool = False
     max_af: int = 0
-    min_special_size: int = 2
 
     def __post_init__(self):
         if not 0 <= self.max_af <= 3:
@@ -161,23 +160,22 @@ def _classify(flags, stage, offset, opts):
         return DecodePlan("rate0", stage, offset)
     if ones == size:
         return DecodePlan("rate1", stage, offset)
-    if size >= opts.min_special_size:
-        if opts.enable_grep:
-            node = _match_grep(flags, stage, offset, opts)
-            if node is not None:
-                return node
-        if opts.enable_gpc:
-            node = _match_gpc(flags, stage, offset)
-            if node is not None:
-                return node
-        if opts.max_af > 0:
-            node = _match_rgpc(flags, stage, offset, opts.max_af)
-            if node is not None:
-                return node
-        if ones == 1 and flags[-1]:
-            return DecodePlan("rep", stage, offset)
-        if ones == size - 1 and not flags[0]:
-            return DecodePlan("spc", stage, offset)
+    if opts.enable_grep:
+        node = _match_grep(flags, stage, offset, opts)
+        if node is not None:
+            return node
+    if opts.enable_gpc:
+        node = _match_gpc(flags, stage, offset)
+        if node is not None:
+            return node
+    if opts.max_af > 0:
+        node = _match_rgpc(flags, stage, offset, opts.max_af)
+        if node is not None:
+            return node
+    if ones == 1 and flags[-1]:
+        return DecodePlan("rep", stage, offset)
+    if ones == size - 1 and not flags[0]:
+        return DecodePlan("spc", stage, offset)
     half = size // 2
     return DecodePlan(
         "split", stage, offset,

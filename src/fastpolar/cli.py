@@ -36,7 +36,7 @@ def _node_options(args):
     return PlanOptions(
         enable_grep=names in ("grep", "gpc", "rgpc"),
         enable_gpc=names in ("gpc", "rgpc"),
-        max_af=args.max_af if names == "rgpc" else 0,
+        max_af=args.max_af,
     )
 
 
@@ -157,7 +157,10 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    ap = build_parser()
+    args = ap.parse_args(argv)
+    if getattr(args, "max_af", 0) and args.nodes != "rgpc":
+        ap.error("--max-af applies only with --nodes rgpc")
     return args.func(args)
 
 

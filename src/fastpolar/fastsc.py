@@ -67,7 +67,8 @@ def decode_gpc_sc(alpha, np_sub):
 
 
 def _decode_rep(alpha, plan, minsum):
-    bit = (np.sum(alpha, axis=-1, keepdims=True) < 0).astype(np.uint8)
+    # fold by halving g-steps, in the order SC adds the LLRs up
+    bit = (grep_fold(alpha, 0) < 0).astype(np.uint8)
     return np.broadcast_to(bit, alpha.shape).copy()
 
 

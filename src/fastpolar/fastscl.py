@@ -1,11 +1,12 @@
 """Fast SCL decoding over a pruned decode plan.
 
-Special nodes fork and prune paths directly from the LLRs at the node
-root instead of descending to the leaves.  With the min-sum f-update the
-surviving path set (bit histories and metrics) matches tree-descent SCL
-exactly for every node kind except RG-PC, whose metric is exact only with
-respect to a descent that ignores the AF-bit constraints.  Plain SCL is
-this walker on the leaves-only plan.
+Rate-0, Rep and Rate-1 nodes extend the path set at the node root; G-Rep
+folds its LLRs onto the Rate-C child; SPC, G-PC and RG-PC share one
+extension that recurses to Rate-0/Rate-1 halves (SPC is G-PC with
+Np = 1).  With the min-sum f-update the surviving path set (bit histories
+and metrics) matches tree-descent SCL for every node kind except RG-PC,
+whose metrics are exact only for a descent that ignores its AF bits.
+Plain SCL is this walker on the leaves-only plan.
 """
 
 import numpy as np
@@ -54,65 +55,16 @@ def _extend_rep(ps, alpha):
     return np.repeat(bits[:, :, None], alpha.shape[-1], axis=2)
 
 
-def _toggle_at(bits, col, flip):
-    f = np.zeros_like(bits)
-    np.put_along_axis(f, col[..., None], flip[..., None].astype(bits.dtype), axis=-1)
-    bits ^= f
-
-
-def _extend_spc(ps, alpha):
-    """Single-parity-check extension (Wagner with list forks).
-
-    Per path, the least reliable column is the parity bit: its penalty is
-    charged up front when the hard decisions violate parity, and every
-    other column forks between keeping its hard decision (no penalty) and
-    flipping it, which also toggles the parity bit, at cost
-    |alpha_i| + (1 - 2s)|alpha_p| where s tracks the parity bit's current
-    flip state.  The resulting metric is the exact node-root metric of
-    every even-parity candidate.
-    """
-    M = alpha.shape[-1]
-    absa = np.abs(alpha)
-    p_rel = np.argmin(absa, axis=-1)  # per-path parity-bit column
-    hd = (alpha < 0).astype(np.uint8)
-    gamma = np.bitwise_xor.reduce(hd, axis=-1)
-    pen_p = np.take_along_axis(absa, p_rel[..., None], -1)[..., 0]
-    ps.penalize(gamma * pen_p)
-    s_p = gamma.astype(np.uint8)  # 1 while the parity bit sits flipped
-    bits = hd.copy()
-    # natural column order with the per-path parity bit pushed out
-    idx = np.broadcast_to(np.arange(M), alpha.shape).copy()
-    order = np.argsort(np.where(idx == p_rel[..., None], M, idx), axis=-1,
-                       kind="stable")[..., :M - 1]
-    for e in range(M - 1):
-        j = order[:, :, e]
-        a_j = np.take_along_axis(absa, j[..., None], -1)[..., 0]
-        pen_flip = a_j + (1.0 - 2.0 * s_p) * pen_p
-        src, flip = ps.fork(np.zeros_like(a_j), pen_flip)
-        absa, bits, order = (_gather(x, src) for x in (absa, bits, order))
-        pen_p = np.take_along_axis(pen_p, src, axis=1)
-        s_p = np.take_along_axis(s_p, src, axis=1)
-        p_rel = np.take_along_axis(p_rel, src, axis=1)
-        hd = _gather(hd, src)
-        _toggle_at(bits, order[:, :, e], flip)
-        s_p = s_p ^ flip
-    hd_p = np.take_along_axis(hd, p_rel[..., None], -1)[..., 0]
-    np.put_along_axis(bits, p_rel[..., None], (hd_p ^ s_p)[..., None], axis=-1)
-    return bits
-
-
 def _extend_gpc(ps, alpha, np_sub, minsum):
-    """Parity-check-node extension matching the descent path set.
+    """SPC, G-PC and RG-PC extension; SPC is the Np = 1 case.
 
     The node splits as (same-Np half, Rate-1 half) down to its all-frozen
-    block, so recursing that shape with the node-level Rate-0/Rate-1/SPC
-    extensions keeps the surviving paths identical to tree descent; the
-    Np interleaved parity constraints are enforced by the structure.
+    Np block; recursing that shape (Rate-0 at the bottom, bit-serial Rate-1
+    on every right half) keeps the descent path set and enforces the Np
+    parity constraints.  RG-PC treats its AF bits as information bits.
     """
     if alpha.shape[-1] == np_sub:
         return _extend_rate0(ps, alpha)
-    if np_sub == 1:
-        return _extend_spc(ps, alpha)
     gen = len(ps.maps)
     bl = _extend_gpc(ps, f_step(alpha, minsum), np_sub, minsum)
     alpha = ps.realign(alpha, gen)
@@ -151,7 +103,7 @@ _NODE_EXTENDERS = {
     "rate0": lambda ps, alpha, plan, minsum: _extend_rate0(ps, alpha),
     "rate1": lambda ps, alpha, plan, minsum: _extend_serial(ps, alpha),
     "rep": lambda ps, alpha, plan, minsum: _extend_rep(ps, alpha),
-    "spc": lambda ps, alpha, plan, minsum: _extend_spc(ps, alpha),
+    "spc": lambda ps, alpha, plan, minsum: _extend_gpc(ps, alpha, 1, minsum),
     "grep": _extend_grep,
     "gpc": lambda ps, alpha, plan, minsum: _extend_gpc(ps, alpha, plan.np_sub, minsum),
     "rgpc": lambda ps, alpha, plan, minsum: _extend_gpc(ps, alpha, plan.np_sub, minsum),

@@ -14,14 +14,7 @@ from .classify import leaves_only_plan
 from .codec import _llr_batch
 from .crc import crc_check_batch
 
-__all__ = ["pm_update", "scl_decode", "scl_decode_batch", "scl_decode_paths_batch",
-           "select_output"]
-
-
-def pm_update(pm, alpha, u_hat):
-    """One-step path-metric update: penalty |alpha| on a hard-decision mismatch."""
-    hd = 0 if alpha >= 0 else 1
-    return pm + abs(alpha) if u_hat != hd else pm
+__all__ = ["scl_decode", "scl_decode_batch", "scl_decode_paths_batch", "select_output"]
 
 
 class PathSet:

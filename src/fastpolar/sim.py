@@ -17,7 +17,7 @@ import numpy as np
 from .classify import PlanOptions, classify
 from .codec import encode, sc_decode_batch
 from .construction import PolarCode, load_descriptor
-from .crc import CrcSpec, crc_attach, crc_by_name
+from .crc import CRC_NAMES, CrcSpec, crc_attach, crc_by_name
 from .fastsc import fast_ssc_decode_batch
 from .fastscl import fast_scl_decode_batch
 from .listdec import scl_decode_batch
@@ -66,6 +66,9 @@ class SimConfig:
         self.snr_db = snr
         if self.snr_unit not in ("ebn0", "esn0"):
             raise ValueError("snr_unit must be 'ebn0' or 'esn0'")
+        if self.crc is not None and not isinstance(self.crc, CrcSpec):
+            raise ValueError(f"crc must be None or a CrcSpec (in a config file: one of "
+                             f"{list(CRC_NAMES)} or a spec object), got {self.crc!r}")
         crc_w = self.crc.width if self.crc else 0
         if crc_w >= self.code.K + (self.code.K == 0):
             raise ValueError("CRC wider than the unfrozen budget")

@@ -166,16 +166,6 @@ def test_spc_is_np1_gpc():
     assert np.array_equal(decode_gpc_sc(alpha, 1), wagner_decode(alpha))
 
 
-def test_min_special_size_floor():
-    code = make_code([0, 1, 0, 1, 1, 1, 1, 1])
-    plan = classify(code, PlanOptions(min_special_size=4))
-    kinds = {l.kind for l in plan.leaves()}
-    for leaf in plan.leaves():
-        if leaf.kind in ("rep", "spc"):
-            assert leaf.size >= 4
-    assert "split" not in kinds or True  # splits are interior, not leaves
-
-
 def test_invalid_max_af():
     with pytest.raises(ValueError):
         PlanOptions(max_af=4)

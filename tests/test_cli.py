@@ -62,6 +62,15 @@ def test_classify_text_and_json(code_file, capsys):
     assert tree["stage"] == 5 and tree["offset"] == 0
 
 
+@pytest.mark.parametrize("command", ["classify", "decode"])
+@pytest.mark.parametrize("nodes", ["base", "grep", "gpc"])
+def test_max_af_needs_rgpc_nodes(code_file, capsys, command, nodes):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--code", str(code_file), "--nodes", nodes, "--max-af", "3"])
+    assert exc.value.code == 2
+    assert "--max-af" in capsys.readouterr().err
+
+
 def test_latency_table_and_csv(code_file, capsys):
     main(["latency", "--code", str(code_file)])
     text = capsys.readouterr().out

@@ -113,6 +113,26 @@ def test_special_nodes_match_tree_descent(flags):
     assert np.array_equal(x_sc, x_f)
 
 
+def test_rep_near_zero_sum_matches_sc():
+    # the Rep decision must add the LLRs up in SC's g-step order: a plain
+    # left-to-right sum rounds 1e16 - 1 - 1e16 to 0 where SC gets -1
+    code = make_code([0, 0, 0, 1])
+    plan = classify(code)
+    assert plan.kind == "rep"
+    llrs = np.array([[1e16, -1.0, -1e16, 0.0]])
+    u_sc, _ = sc_descent_batch(llrs, code)
+    assert u_sc[0, 3] == 1
+    assert np.array_equal(fast_ssc_decode_batch(llrs, plan)[0], u_sc)
+    rng = np.random.default_rng(5)
+    for size in (4, 8, 16, 32, 64):
+        code = make_code([0] * (size - 1) + [1])
+        llrs = rng.normal(size=(2000, size)) * 3
+        llrs[:, -1] = -llrs[:, :-1].sum(axis=1)
+        u_sc, _ = sc_descent_batch(llrs, code, minsum=True)
+        u_f, _ = fast_ssc_decode_batch(llrs, classify(code), minsum=True)
+        assert np.array_equal(u_sc, u_f), size
+
+
 @pytest.mark.parametrize("n,K", [(6, 13), (6, 32), (7, 64), (7, 100), (8, 128)])
 def test_fast_ssc_equals_sc_random_codes(n, K):
     code = construct_code(n, K, 0.5)

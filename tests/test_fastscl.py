@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fastpolar.classify import PlanOptions, classify
+from fastpolar.classify import PlanOptions, classify, option_sweep
 from fastpolar.construction import PolarCode, construct_code
 from fastpolar.fastsc import fast_ssc_decode_batch
 from fastpolar.fastscl import fast_scl_decode_batch, fast_scl_decode_paths_batch
@@ -107,6 +109,26 @@ def test_rgpc_metric_matches_relaxed_descent():
                     for p in range(u.shape[1]):
                         ref = path_metric_of(llrs[b], u[b, p], minsum=True)
                         assert pm[b, p] == pytest.approx(ref, rel=1e-9, abs=1e-9)
+
+
+@given(st.integers(2, 6), st.integers(0, 10 ** 6), st.sampled_from([1, 4, 8]))
+@settings(max_examples=60, deadline=None)
+def test_random_patterns_every_rung(n, seed, L):
+    # SPC (base rung), G-PC and RG-PC nodes share one list extension, so
+    # every rung's path set is checked against the tree-descent oracle
+    rng = np.random.default_rng(seed)
+    code = make_code(rng.random(1 << n) < rng.uniform(0.2, 0.9))
+    llrs = rng.normal(size=(8, code.N)) * 2.5
+    u_ref, pm_ref = scl_descent_paths_batch(llrs, code, L, minsum=True)
+    for label, opts in option_sweep():
+        u, pm = fast_scl_decode_paths_batch(llrs, classify(code, opts), L, minsum=True)
+        for b in range(len(llrs)):
+            if opts.max_af:
+                for p in range(u.shape[1]):
+                    ref = path_metric_of(llrs[b], u[b, p], minsum=True)
+                    assert pm[b, p] == pytest.approx(ref, rel=1e-9, abs=1e-9), label
+            else:
+                assert canon_paths(u[b], pm[b]) == canon_paths(u_ref[b], pm_ref[b]), label
 
 
 def test_rgpc_may_violate_frozen_bits_without_error():

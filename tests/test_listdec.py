@@ -6,20 +6,13 @@ from hypothesis import strategies as st
 from fastpolar.codec import polar_transform
 from fastpolar.construction import PolarCode, construct_code
 from fastpolar.crc import CRC8, crc_attach
-from fastpolar.listdec import pm_update, scl_decode, scl_decode_batch, scl_decode_paths_batch
+from fastpolar.listdec import scl_decode, scl_decode_batch, scl_decode_paths_batch
 from helpers import path_metric_of, sc_descent_batch, scl_descent_paths_batch
 
 
 def make_code(flags):
     flags = np.asarray(flags, dtype=np.uint8)
     return PolarCode(int(np.log2(flags.size)), int(flags.sum()), flags, 0.5)
-
-
-def test_pm_update_examples():
-    assert pm_update(0.0, 2.0, 0) == pytest.approx(0.0)
-    assert pm_update(0.0, -2.0, 0) == pytest.approx(2.0)
-    # zero LLR hard-decides to 0, so u=1 disagrees but pays |0|
-    assert pm_update(1.5, 0.0, 1) == pytest.approx(1.5)
 
 
 @pytest.mark.parametrize("minsum", [False, True])

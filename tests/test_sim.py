@@ -161,3 +161,13 @@ def test_load_sim_config_unknown_crc_name(tmp_path):
     path.write_text(json.dumps({"code": "code.json", "crc": "crc32"}))
     with pytest.raises(ValueError, match="crc32.*crc16"):
         load_sim_config(path)
+
+
+def test_load_sim_config_rejects_crc_of_wrong_type(tmp_path):
+    save_descriptor(construct_code(5, 16, 0.5), tmp_path / "code.json")
+    path = tmp_path / "sim.json"
+    path.write_text(json.dumps({"code": "code.json", "crc": 8}))
+    with pytest.raises(ValueError, match="crc must be None or a CrcSpec.*crc16"):
+        load_sim_config(path)
+    with pytest.raises(ValueError, match="CrcSpec"):
+        SimConfig(code=construct_code(5, 16, 0.5), crc="crc8")
