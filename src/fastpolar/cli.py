@@ -132,14 +132,14 @@ def build_parser():
     p.add_argument("--list", type=int, default=4)
     p.add_argument("--crc", choices=list(CRC_NAMES), default="none")
     p.add_argument("--nodes", choices=["base", "grep", "gpc", "rgpc"], default="gpc")
-    p.add_argument("--max-af", dest="max_af", type=int, default=0)
+    p.add_argument("--max-af", dest="max_af", type=int, choices=range(4), default=0)
     p.add_argument("--minsum", action="store_true")
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("classify", help="print the pruned decode tree")
     p.add_argument("--code", required=True)
     p.add_argument("--nodes", choices=["base", "grep", "gpc", "rgpc"], default="gpc")
-    p.add_argument("--max-af", dest="max_af", type=int, default=0)
+    p.add_argument("--max-af", dest="max_af", type=int, choices=range(4), default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_classify)
 
@@ -161,6 +161,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if getattr(args, "max_af", 0) and args.nodes != "rgpc":
         ap.error("--max-af applies only with --nodes rgpc")
+    if getattr(args, "list", 1) < 1:
+        ap.error("--list must be >= 1")
     return args.func(args)
 
 

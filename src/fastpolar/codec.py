@@ -74,10 +74,13 @@ def combine(beta_left, beta_right):
 
 
 def _llr_batch(channel_llrs, N):
-    """Channel LLRs as a float (B, N) array; one frame becomes a batch of one."""
+    """Channel LLRs as a finite float (B, N) array; one frame becomes a batch of one."""
     alpha = np.atleast_2d(np.asarray(channel_llrs, dtype=np.float64))
     if alpha.shape[-1] != N:
         raise ValueError(f"expected {N} LLRs per frame, got {alpha.shape[-1]}")
+    bad = alpha.size - np.count_nonzero(np.isfinite(alpha))
+    if bad:  # NaN or inf would decode silently to garbage
+        raise ValueError(f"{bad} of {alpha.size} channel LLRs are not finite (NaN or inf)")
     return alpha
 
 

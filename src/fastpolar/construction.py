@@ -149,6 +149,9 @@ def load_descriptor(path):
     n = int(desc["n"])
     N = 1 << n
     frozen = sorted(int(i) for i in desc["frozen_indices"])
+    repeated = sorted({a for a, b in zip(frozen, frozen[1:]) if a == b})
+    if repeated:
+        raise ValueError(f"frozen_indices repeats {repeated}")
     if frozen and not 0 <= frozen[0] <= frozen[-1] < N:
         raise ValueError("frozen_indices out of range")
     flags = np.ones(N, dtype=np.uint8)

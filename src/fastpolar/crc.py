@@ -1,8 +1,8 @@
 """CRC attachment and checking over bit vectors.
 
 The bitwise register implementation is the reference; a cached GF(2)
-matrix form of the same map handles frame batches quickly (a CRC with a
-fixed init value is affine in the message bits).
+matrix form of the same map attaches and checks CRCs over frame batches
+(a CRC with a fixed init value is affine in the message bits).
 """
 
 from dataclasses import dataclass
@@ -57,8 +57,9 @@ def crc_bits(payload, spec):
 
 
 def crc_attach(payload, spec):
+    """Append the CRC to every bit vector along the last axis of ``payload``."""
     payload = np.asarray(payload, dtype=np.uint8)
-    return np.concatenate([payload, crc_bits(payload, spec)])
+    return np.concatenate([payload, _crc_batch(payload, spec)], axis=-1)
 
 
 def crc_check(bits, spec):
@@ -72,15 +73,22 @@ def crc_check(bits, spec):
 @lru_cache(maxsize=32)
 def _affine_map(spec, length):
     # crc(m) = c0 ^ (m @ M mod 2), valid because the register update is
-    # linear in the message for fixed init/final_xor
+    # linear in the message for fixed init/final_xor.  A lone 1 fed k bits
+    # before the end leaves the register at `polynomial` clocked k times.
     zero = crc_bits(np.zeros(length, dtype=np.uint8), spec)
-    M = np.empty((length, spec.width), dtype=np.uint8)
-    e = np.zeros(length, dtype=np.uint8)
-    for i in range(length):
-        e[i] = 1
-        M[i] = crc_bits(e, spec) ^ zero
-        e[i] = 0
-    return M, zero
+    top, mask = 1 << (spec.width - 1), (1 << spec.width) - 1
+    rows, reg = [], spec.polynomial
+    for _ in range(length):
+        rows.append([(reg >> (spec.width - 1 - i)) & 1 for i in range(spec.width)])
+        reg = ((reg << 1) & mask) ^ (spec.polynomial if reg & top else 0)
+    M = np.array(rows, dtype=np.uint8).reshape(length, spec.width)
+    # rows[k] is the bit fed k before the end; reflect feeds the payload backwards
+    return (M[:, ::-1] if spec.reflect else M[::-1]).copy(), zero
+
+
+def _crc_batch(payload, spec):
+    M, zero = _affine_map(spec, payload.shape[-1])
+    return (payload @ M & 1) ^ zero
 
 
 def crc_check_batch(bits, spec):
@@ -89,7 +97,5 @@ def crc_check_batch(bits, spec):
     n = bits.shape[-1]
     if n < spec.width:
         raise ValueError("bit vectors shorter than the CRC width")
-    M, zero = _affine_map(spec, n - spec.width)
-    payload = bits[..., :n - spec.width]
-    expected = (payload @ M & 1) ^ zero
+    expected = _crc_batch(bits[..., :n - spec.width], spec)
     return np.all(expected == bits[..., n - spec.width:], axis=-1)

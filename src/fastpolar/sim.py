@@ -1,10 +1,12 @@
 """Monte-Carlo BLER/BER estimation over BPSK/AWGN.
 
-Every frame draws from its own counter-based RNG substream keyed by
-(master seed, SNR index, frame index), so results are a pure function of
-the configuration no matter how frames are batched or scheduled.  The
-stop rule cuts off at the first frame whose error brings the cumulative
-count to ``min_errors``, which keeps the counters batch-size invariant.
+Every frame draws its payload and then its noise from its own
+counter-based RNG substream keyed by (master seed, SNR index, frame
+index), so results are a pure function of the configuration no matter how
+frames are batched or scheduled.  Only these draws run per frame; CRC
+attachment, encoding and the channel run once per batch.  The stop rule
+cuts off at the first frame whose error brings the cumulative count to
+``min_errors``, which keeps the counters batch-size invariant.
 """
 
 import io
@@ -33,8 +35,12 @@ def awgn_bpsk_llrs(x, sigma, rng):
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     x = np.asarray(x, dtype=np.float64)
-    y = (1.0 - 2.0 * x) + sigma * rng.normal(size=x.shape)
-    return 2.0 * y / sigma**2
+    return _channel_llrs(x, sigma, rng.normal(size=x.shape))
+
+
+def _channel_llrs(x, sigma, noise):
+    # BPSK (0 -> +1, 1 -> -1) plus sigma-scaled unit noise, as LLRs
+    return 2.0 * ((1.0 - 2.0 * x) + sigma * noise) / sigma**2
 
 
 @dataclass
@@ -160,21 +166,21 @@ def _make_decoder(cfg):
 
 
 def _gen_frames(cfg, snr_idx, start, count, sigma):
-    """Payloads and channel LLRs for frames [start, start+count)."""
-    N = cfg.code.N
-    nbits = cfg.payload_bits
-    info = cfg.code.info_indices
+    """Payloads and channel LLRs for frames [start, start+count).
+
+    Each frame draws its payload, then its noise, from its own stream;
+    CRC, encoding and the channel then run once over the whole batch.
+    """
+    N, nbits = cfg.code.N, cfg.payload_bits
     payloads = np.empty((count, nbits), dtype=np.uint8)
-    llrs = np.empty((count, N))
+    noise = np.empty((count, N))
     for k in range(count):
         rng = _frame_rng(cfg.seed, snr_idx, start + k)
-        payload = rng.integers(0, 2, nbits, dtype=np.uint8)
-        bits = crc_attach(payload, cfg.crc) if cfg.crc else payload
-        u = np.zeros(N, dtype=np.uint8)
-        u[info] = bits
-        payloads[k] = payload
-        llrs[k] = awgn_bpsk_llrs(encode(u, cfg.code), sigma, rng)
-    return payloads, llrs
+        payloads[k] = rng.integers(0, 2, nbits, dtype=np.uint8)
+        noise[k] = rng.normal(size=N)
+    u = np.zeros((count, N), dtype=np.uint8)
+    u[:, cfg.code.info_indices] = crc_attach(payloads, cfg.crc) if cfg.crc else payloads
+    return payloads, _channel_llrs(encode(u, cfg.code), sigma, noise)
 
 
 def run_bler(cfg, label=""):

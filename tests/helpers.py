@@ -2,7 +2,9 @@
 
 import numpy as np
 
-from fastpolar.codec import combine, f_step, g_step, polar_transform
+from fastpolar.codec import combine, encode, f_step, g_step, polar_transform
+from fastpolar.crc import crc_bits
+from fastpolar.sim import _frame_rng
 
 
 def kron_generator(n):
@@ -176,3 +178,24 @@ def scl_descent_paths_batch(llrs, code, L, minsum=False):
     pm = np.take_along_axis(ps.pm, order, axis=1)
     u = np.take_along_axis(ps.bit_histories(), order[:, :, None], axis=1)
     return u, pm
+
+
+def gen_frames_per_frame(cfg, snr_idx, start, count, sigma):
+    """Reference frame generator: the simulator's frames built one at a
+    time, with the bitwise CRC register and the channel formula written out."""
+    N = cfg.code.N
+    nbits = cfg.payload_bits
+    info = cfg.code.info_indices
+    payloads = np.empty((count, nbits), dtype=np.uint8)
+    llrs = np.empty((count, N))
+    for k in range(count):
+        rng = _frame_rng(cfg.seed, snr_idx, start + k)
+        payload = rng.integers(0, 2, nbits, dtype=np.uint8)
+        bits = np.concatenate([payload, crc_bits(payload, cfg.crc)]) if cfg.crc else payload
+        u = np.zeros(N, dtype=np.uint8)
+        u[info] = bits
+        payloads[k] = payload
+        x = encode(u, cfg.code).astype(np.float64)
+        y = (1.0 - 2.0 * x) + sigma * rng.normal(size=N)
+        llrs[k] = 2.0 * y / sigma**2
+    return payloads, llrs

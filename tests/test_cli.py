@@ -71,6 +71,21 @@ def test_max_af_needs_rgpc_nodes(code_file, capsys, command, nodes):
     assert "--max-af" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--nodes", "rgpc", "--max-af", "4"],
+    ["classify", "--nodes", "rgpc", "--max-af", "-1"],
+    ["decode", "--nodes", "rgpc", "--max-af", "4"],
+    ["decode", "--algo", "scl", "--list", "0"],
+    ["decode", "--algo", "ssclspc", "--list", "-2"],
+])
+def test_out_of_range_options_are_usage_errors(code_file, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:1] + ["--code", str(code_file)] + argv[1:])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and argv[-2] in err
+
+
 def test_latency_table_and_csv(code_file, capsys):
     main(["latency", "--code", str(code_file)])
     text = capsys.readouterr().out

@@ -146,3 +146,15 @@ def test_sc_equals_descent_oracle(n, seed, minsum):
     u_hat, x_hat = sc_decode_batch(llrs, code, minsum=minsum)
     u_ref, x_ref = sc_descent_batch(llrs, code, minsum=minsum)
     assert np.array_equal(u_hat, u_ref) and np.array_equal(x_hat, x_ref)
+
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_llrs_rejected(bad):
+    code = construct_code(5, 16, 0.5)
+    llrs = np.full((3, 32), 2.0)
+    llrs[1, [4, 9]] = bad
+    with pytest.raises(ValueError, match="2 of 96 channel LLRs are not finite"):
+        sc_decode_batch(llrs, code)
+    with pytest.raises(ValueError, match="2 of 32 channel LLRs are not finite"):
+        sc_decode(llrs[1], code)

@@ -104,6 +104,17 @@ def test_descriptor_round_trip(tmp_path):
     assert raw["frozen_indices"] == sorted(raw["frozen_indices"])
 
 
+@pytest.mark.parametrize("with_k", [False, True])
+def test_descriptor_rejects_repeated_frozen_indices(tmp_path, with_k):
+    desc = {"n": 3, "frozen_indices": [0, 1, 1, 2, 4, 4]}
+    if with_k:
+        desc["K"] = 3
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(desc))
+    with pytest.raises(ValueError, match=r"repeats \[1, 4\]"):
+        load_descriptor(path)
+
+
 def test_invalid_parameters():
     with pytest.raises(ValueError):
         construct_code(3, 9, 0.5)

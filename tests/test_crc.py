@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fastpolar.crc import CRC8, CRC16, CrcSpec, crc_attach, crc_bits, crc_check, crc_check_batch
 
@@ -64,3 +66,18 @@ def test_batch_accepts_attached_frames():
     assert crc_check_batch(frames, CRC16).all()
     frames[:, 3] ^= 1
     assert not crc_check_batch(frames, CRC16).any()
+
+
+@given(width=st.integers(1, 16), data=st.data(), length=st.integers(0, 200),
+       rows=st.integers(1, 9), seed=st.integers(0, 2**32))
+@settings(max_examples=80, deadline=None)
+def test_attach_batch_matches_bitwise_reference(width, data, length, rows, seed):
+    mask = (1 << width) - 1
+    spec = CrcSpec(width=width, polynomial=data.draw(st.integers(1, mask)),
+                   init=data.draw(st.integers(0, mask)), reflect=data.draw(st.booleans()),
+                   final_xor=data.draw(st.integers(0, mask)))
+    payloads = np.random.default_rng(seed).integers(0, 2, (rows, length), dtype=np.uint8)
+    ref = np.stack([np.concatenate([p, crc_bits(p, spec)]) for p in payloads])
+    assert np.array_equal(crc_attach(payloads[0], spec), ref[0])
+    assert np.array_equal(crc_attach(payloads, spec), ref)
+    assert all(crc_check(row, spec) for row in ref)

@@ -4,8 +4,8 @@ import pytest
 from fastpolar.classify import PlanOptions, classify
 from fastpolar.codec import encode, g_step
 from fastpolar.construction import PolarCode, construct_code
-from fastpolar.fastsc import (decode_gpc_sc, decode_grep_sc, fast_ssc_decode_batch, grep_fold,
-                              wagner_decode)
+from fastpolar.fastsc import (decode_gpc_sc, decode_grep_sc, fast_ssc_decode, fast_ssc_decode_batch,
+                              grep_fold, wagner_decode)
 from helpers import ml_even_parity, sc_descent_batch
 
 GEN = PlanOptions(enable_grep=True, enable_gpc=True)
@@ -170,3 +170,14 @@ def test_rgpc_noiseless_recovery():
     llrs = (1.0 - 2.0 * x) * 5.0
     u_hat, _ = fast_ssc_decode_batch(llrs, plan, minsum=True)
     assert np.array_equal(u_hat, u)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_llrs_rejected(bad):
+    plan = classify(construct_code(5, 16, 0.5), GEN)
+    llrs = np.full((3, 32), 2.0)
+    llrs[1, [4, 9]] = bad
+    with pytest.raises(ValueError, match="2 of 96 channel LLRs are not finite"):
+        fast_ssc_decode_batch(llrs, plan)
+    with pytest.raises(ValueError, match="2 of 32 channel LLRs are not finite"):
+        fast_ssc_decode(llrs[1], plan)

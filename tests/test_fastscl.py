@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from fastpolar.classify import PlanOptions, classify, option_sweep
 from fastpolar.construction import PolarCode, construct_code
 from fastpolar.fastsc import fast_ssc_decode_batch
-from fastpolar.fastscl import fast_scl_decode_batch, fast_scl_decode_paths_batch
+from fastpolar.fastscl import fast_scl_decode, fast_scl_decode_batch, fast_scl_decode_paths_batch
 from fastpolar.listdec import select_output
 from helpers import canon_paths, path_metric_of, scl_descent_paths_batch
 
@@ -163,3 +163,17 @@ def test_invalid_list_size():
     plan = classify(code, GEN)
     with pytest.raises(ValueError):
         fast_scl_decode_paths_batch(np.zeros((1, 8)), plan, 0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_llrs_rejected(bad):
+    code = construct_code(5, 16, 0.5)
+    plan = classify(code, GEN)
+    llrs = np.full((3, 32), 2.0)
+    llrs[1, [4, 9]] = bad
+    with pytest.raises(ValueError, match="2 of 96 channel LLRs are not finite"):
+        fast_scl_decode_batch(llrs, code, plan, 4)
+    with pytest.raises(ValueError, match="2 of 96 channel LLRs are not finite"):
+        fast_scl_decode_paths_batch(llrs, plan, 4)
+    with pytest.raises(ValueError, match="2 of 32 channel LLRs are not finite"):
+        fast_scl_decode(llrs[1], code, plan, 4)

@@ -165,3 +165,16 @@ def test_scl_equals_descent_oracle(n, seed, L, minsum):
     u, pm = scl_decode_paths_batch(llrs, code, L, minsum=minsum)
     u_ref, pm_ref = scl_descent_paths_batch(llrs, code, L, minsum=minsum)
     assert np.array_equal(u, u_ref) and np.array_equal(pm, pm_ref)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_llrs_rejected(bad):
+    code = construct_code(5, 16, 0.5)
+    llrs = np.full((3, 32), 2.0)
+    llrs[1, [4, 9]] = bad
+    with pytest.raises(ValueError, match="2 of 96 channel LLRs are not finite"):
+        scl_decode_batch(llrs, code, 4, CRC8)
+    with pytest.raises(ValueError, match="2 of 96 channel LLRs are not finite"):
+        scl_decode_paths_batch(llrs, code, 4)
+    with pytest.raises(ValueError, match="2 of 32 channel LLRs are not finite"):
+        scl_decode(llrs[1], code, 4, CRC8)

@@ -2,11 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from fastpolar.construction import construct_code, save_descriptor
-from fastpolar.crc import CRC8
-from fastpolar.sim import (SimConfig, awgn_bpsk_llrs, load_sim_config, run_bler,
+from fastpolar.construction import PolarCode, construct_code, save_descriptor
+from fastpolar.crc import CRC8, CRC16, CrcSpec
+from fastpolar.sim import (SimConfig, _gen_frames, awgn_bpsk_llrs, load_sim_config, run_bler,
                            wilson_interval)
+from helpers import gen_frames_per_frame
 
 
 def small_cfg(**kw):
@@ -171,3 +174,25 @@ def test_load_sim_config_rejects_crc_of_wrong_type(tmp_path):
         load_sim_config(path)
     with pytest.raises(ValueError, match="CrcSpec"):
         SimConfig(code=construct_code(5, 16, 0.5), crc="crc8")
+
+
+@given(n=st.sampled_from([4, 8, 10]),
+       crc=st.sampled_from([None, CRC8, CRC16,
+                            CrcSpec(width=6, polynomial=0x21, init=0x2D, reflect=True,
+                                    final_xor=0x13)]),
+       start=st.integers(0, 2**40 - 301), count=st.integers(1, 300),
+       snr_idx=st.integers(0, 5), seed=st.integers(0, 2**32), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_batched_frames_match_per_frame_reference(n, crc, start, count, snr_idx, seed, data):
+    N = 1 << n
+    crc_w = crc.width if crc else 0
+    assume(crc_w < N)
+    K = data.draw(st.integers(crc_w + 1, N))
+    flags = np.zeros(N, dtype=np.uint8)
+    flags[np.random.default_rng(seed).choice(N, K, replace=False)] = 1
+    cfg = SimConfig(code=PolarCode(n, K, flags), crc=crc, seed=seed)
+    sigma = cfg.sigma_for(1.5)
+    payloads, llrs = _gen_frames(cfg, snr_idx, start, count, sigma)
+    ref_payloads, ref_llrs = gen_frames_per_frame(cfg, snr_idx, start, count, sigma)
+    assert payloads.tobytes() == ref_payloads.tobytes()
+    assert llrs.tobytes() == ref_llrs.tobytes()
