@@ -17,19 +17,36 @@ __all__ = ["encode", "polar_transform", "f_step", "g_step", "combine", "sc_decod
 _ATANH_CLIP = 1.0 - 2.0**-52
 
 
-def polar_transform(u):
-    """u @ G^(kron n) over GF(2), in-place butterfly on the trailing axis."""
-    x = np.array(u, dtype=np.uint8, copy=True)
+def _butterfly(x, h):
+    """In-place XOR butterfly levels h, 2h, ... on the trailing axis of x."""
     N = x.shape[-1]
-    if N & (N - 1):
-        raise ValueError("length must be a power of two")
-    x = np.ascontiguousarray(x)
-    h = 1
     while h < N:
         v = x.reshape(x.shape[:-1] + (N // (2 * h), 2 * h))
         v[..., :h] ^= v[..., h:]
         h *= 2
     return x
+
+
+# the 8-bit transform of every byte value (bit j is position j), so that
+# levels h = 1, 2, 4, whose XOR runs are only 1-4 elements long, take one lookup
+_BYTE_TRANSFORM = np.packbits(
+    _butterfly(np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little"), 1),
+    axis=1, bitorder="little")[:, 0]
+
+
+def polar_transform(u):
+    """u @ G^(kron n) over GF(2) on the trailing axis.
+
+    The inputs must be bits: they are packed into bytes, which reads any
+    nonzero value as 1.  A length below 8 is zero-padded to one byte, which
+    the byte table maps to the transform followed by zeros.
+    """
+    x = np.asarray(u, dtype=np.uint8)
+    N = x.shape[-1]
+    if N & (N - 1):
+        raise ValueError("length must be a power of two")
+    packed = _BYTE_TRANSFORM[np.packbits(x, axis=-1, bitorder="little")]
+    return _butterfly(np.unpackbits(packed, axis=-1, count=N, bitorder="little"), 8)
 
 
 def encode(u, code):

@@ -27,26 +27,30 @@ def _relu_pos(a):
     return np.where(a >= 0, a, 0.0)
 
 
-def _gather(arr, src):
-    return np.take_along_axis(arr, src[:, :, None], axis=1)
-
-
 def _extend_rate0(ps, alpha):
     ps.penalize(_relu_neg(alpha).sum(axis=-1))
     return np.zeros(alpha.shape, dtype=np.uint8)
 
 
 def _extend_serial(ps, alpha):
-    """Bit-serial Rate-1 extension: one fork per column."""
+    """Bit-serial Rate-1 extension: one fork per column.
+
+    Column i's LLRs are read through each path's source row at node entry
+    (``ps.lineage``), so ``alpha`` is never re-gathered; the decided bits
+    are traced back through the node's forks once, at node exit.
+    """
     size = alpha.shape[-1]
-    beta = np.zeros(alpha.shape, dtype=np.uint8)
+    gen = len(ps.maps)
+    forks = []
     for i in range(size):
-        a = alpha[:, :, i]
-        src, bits = ps.fork(_relu_neg(a), _relu_pos(a))
-        beta = _gather(beta, src)
-        beta[:, :, i] = bits
-        if i + 1 < size:
-            alpha = _gather(alpha, src)
+        a = alpha[ps.rows, ps.lineage(gen), i] if i else alpha[:, :, 0]
+        forks.append(ps.fork(_relu_neg(a), _relu_pos(a)))
+    beta = np.empty((ps.B, ps.P, size), dtype=np.uint8)
+    row, beta[:, :, -1] = forks[-1]  # row: each path's row just after fork i
+    for i in range(size - 2, -1, -1):
+        src, bits = forks[i]
+        beta[:, :, i] = bits[ps.rows, row]
+        row = src[ps.rows, row]
     return beta
 
 
@@ -122,9 +126,7 @@ def _decode_paths(alpha, plan, L, minsum):
     ps = PathSet(alpha.shape[0], L)
     beta = _extend_node(ps, alpha[:, None, :], plan, minsum)
     order = np.argsort(ps.pm, axis=1, kind="stable")
-    pm = np.take_along_axis(ps.pm, order, axis=1)
-    x = np.take_along_axis(beta, order[:, :, None], axis=1)
-    return polar_transform(x), pm
+    return polar_transform(beta[ps.rows, order]), ps.pm[ps.rows, order]
 
 
 def fast_scl_decode_paths_batch(channel_llrs, plan, L, minsum=True):

@@ -22,7 +22,9 @@ class PathSet:
 
     ``maps`` records, per prune event, which pre-event row each surviving
     row came from; recursion frames use it to realign soft values computed
-    before the event (lazy row remapping instead of eager copies).
+    before the event (lazy row remapping instead of eager copies).  A
+    ``realign`` replaces the maps it composed by their composition, so an
+    enclosing frame's later ``realign`` composes each map only once.
     """
 
     def __init__(self, B, L):
@@ -31,20 +33,26 @@ class PathSet:
         self.P = 1
         self.pm = np.zeros((B, 1))
         self.maps = []
+        self.rows = np.arange(B)[:, None]
 
     def lineage(self, gen):
-        """Row indices mapping the current path set back to generation ``gen``."""
-        idx = np.broadcast_to(np.arange(self.P), (self.B, self.P))
-        for m in reversed(self.maps[gen:]):
-            idx = np.take_along_axis(m, idx, axis=1)
+        """Row indices mapping the current path set back to generation ``gen``.
+
+        The composed maps ``maps[gen:]`` are replaced by the result; every
+        open recursion frame started at a generation <= ``gen``, so their
+        generations still index the same events.
+        """
+        idx = self.maps[-1]
+        for m in reversed(self.maps[gen:-1]):
+            idx = m[self.rows, idx]
+        self.maps[gen:] = [idx]
         return idx
 
     def realign(self, arr, gen):
         """Gather rows of a (B, P_gen, ...) array for the current path set."""
         if gen == len(self.maps):
             return arr
-        idx = self.lineage(gen)
-        return np.take_along_axis(arr, idx.reshape(idx.shape + (1,) * (arr.ndim - 2)), axis=1)
+        return arr[self.rows, self.lineage(gen)]
 
     def fork(self, pen0, pen1):
         """Split every path on a binary decision and prune to L.
@@ -58,7 +66,7 @@ class PathSet:
         order = np.argsort(cand, axis=1, kind="stable")[:, :newP]
         src = order % self.P
         bits = (order >= self.P).astype(np.uint8)
-        self.pm = np.take_along_axis(cand, order, axis=1)
+        self.pm = cand[self.rows, order]
         self.maps.append(src)
         self.P = newP
         return src, bits

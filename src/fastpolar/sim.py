@@ -67,6 +67,8 @@ class SimConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         snr = tuple(float(s) for s in self.snr_db)
+        if not all(np.isfinite(snr)):
+            raise ValueError(f"snr_db must be finite, got {snr}")
         if not snr or any(b <= a for a, b in zip(snr, snr[1:])):
             raise ValueError("snr_db must be nonempty and strictly increasing")
         self.snr_db = snr

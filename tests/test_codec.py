@@ -47,6 +47,19 @@ def test_transform_involution_exhaustive(n):
     assert np.array_equal(polar_transform(polar_transform(u)), u)
 
 
+@given(st.integers(0, 10), st.sampled_from([(), (3,), (2, 3)]), st.integers(0, 10 ** 6))
+@settings(max_examples=40, deadline=None)
+def test_transform_matches_kronecker_reference(n, lead, seed):
+    # the reference is the explicit generator matrix, independent of the
+    # butterfly and of the byte table
+    N = 1 << n
+    u = np.random.default_rng(seed).integers(0, 2, lead + (N,), dtype=np.uint8)
+    x = polar_transform(u)
+    assert x.shape == u.shape and x.dtype == np.uint8
+    assert np.array_equal(x, (u.astype(np.int64) @ kron_generator(n)) % 2)
+    assert np.array_equal(polar_transform(x), u)
+
+
 def test_f_step_zero_absorbs():
     for c in (-3.0, 0.0, 7.5):
         assert f_step(np.array([0.0, c]))[0] == pytest.approx(0.0)

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fastpolar.classify import PlanOptions, classify, option_sweep
+from fastpolar.classify import PlanOptions, classify, leaves_only_plan, option_sweep
+from fastpolar.codec import polar_transform
 from fastpolar.construction import PolarCode, construct_code
 from fastpolar.fastsc import fast_ssc_decode_batch
 from fastpolar.fastscl import fast_scl_decode, fast_scl_decode_batch, fast_scl_decode_paths_batch
@@ -131,6 +132,23 @@ def test_random_patterns_every_rung(n, seed, L):
                 assert canon_paths(u[b], pm[b]) == canon_paths(u_ref[b], pm_ref[b]), label
 
 
+@pytest.mark.parametrize("plan_of", [lambda code: classify(code, GEN), leaves_only_plan],
+                         ids=["grep+gpc", "leaves-only"])
+def test_deep_lineage_matches_descent(plan_of):
+    # at N=1024 the walker's realigns nest up to ten frames deep and Rate-1
+    # nodes fork up to 32 times in a row, so composed lineage maps get reused
+    code = construct_code(10, 512, 0.5)
+    rng = np.random.default_rng(5)
+    x = polar_transform(rng.integers(0, 2, (4, code.N), dtype=np.uint8) * code.flags)
+    llrs = (1.0 - 2.0 * x) * 1.2 + rng.normal(size=x.shape)
+    u, pm = fast_scl_decode_paths_batch(llrs, plan_of(code), 8, minsum=True)
+    u_ref, pm_ref = scl_descent_paths_batch(llrs, code, 8, minsum=True)
+    for b in range(len(llrs)):
+        assert canon_paths(u[b], pm[b]) == canon_paths(u_ref[b], pm_ref[b]), f"frame {b}"
+        for p in range(u.shape[1]):
+            assert pm[b, p] == pytest.approx(path_metric_of(llrs[b], u[b, p]), rel=1e-9, abs=1e-9)
+
+
 def test_rgpc_may_violate_frozen_bits_without_error():
     flags = np.array([0, 1, 0, 1], np.uint8)
     code = make_code(flags)
@@ -144,7 +162,6 @@ def test_rgpc_may_violate_frozen_bits_without_error():
 
 def test_crc_aided_selection():
     from fastpolar.crc import CRC8, crc_attach
-    from fastpolar.codec import polar_transform
 
     code = construct_code(6, 24, 0.5)
     plan = classify(code, GEN)

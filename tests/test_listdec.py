@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from fastpolar.codec import polar_transform
 from fastpolar.construction import PolarCode, construct_code
 from fastpolar.crc import CRC8, crc_attach
-from fastpolar.listdec import scl_decode, scl_decode_batch, scl_decode_paths_batch
+from fastpolar.listdec import PathSet, scl_decode, scl_decode_batch, scl_decode_paths_batch
 from helpers import path_metric_of, sc_descent_batch, scl_descent_paths_batch
 
 
@@ -165,6 +165,45 @@ def test_scl_equals_descent_oracle(n, seed, L, minsum):
     u, pm = scl_decode_paths_batch(llrs, code, L, minsum=minsum)
     u_ref, pm_ref = scl_descent_paths_batch(llrs, code, L, minsum=minsum)
     assert np.array_equal(u, u_ref) and np.array_equal(pm, pm_ref)
+
+
+@given(st.integers(0, 10 ** 6), st.integers(1, 4), st.integers(1, 8))
+@settings(max_examples=60, deadline=None)
+def test_realign_reuses_composed_lineage(seed, B, L):
+    # random fork maps under a random recursion tree, realigned in walker
+    # order; each realign must equal composing the original maps one by one
+    rng = np.random.default_rng(seed)
+    ps = PathSet(B, L)
+    events = []  # every fork map ever appended, never compacted
+
+    def expected(arr, ev):
+        idx = np.broadcast_to(np.arange(ps.P), (B, ps.P))
+        for m in reversed(events[ev:]):
+            idx = np.take_along_axis(m, idx, axis=1)
+        return np.take_along_axis(arr, idx[:, :, None], axis=1)
+
+    def tagged():
+        return rng.random((B, ps.P, 2))
+
+    def frame(depth):
+        if depth == 0 or rng.random() < 0.2:
+            gen, ev, arr = len(ps.maps), len(events), tagged()
+            for _ in range(rng.integers(0, 4)):
+                new_p = int(rng.integers(1, L + 1))
+                events.append(rng.integers(0, ps.P, (B, new_p)))
+                ps.maps.append(events[-1])
+                ps.P = new_p
+                # a Rate-1 node reads each column through the lineage so far
+                assert np.array_equal(ps.realign(arr, gen), expected(arr, ev))
+            return
+        gen, ev, arr = len(ps.maps), len(events), tagged()
+        frame(depth - 1)
+        assert np.array_equal(ps.realign(arr, gen), expected(arr, ev))
+        gen, ev, arr = len(ps.maps), len(events), tagged()
+        frame(depth - 1)
+        assert np.array_equal(ps.realign(arr, gen), expected(arr, ev))
+
+    frame(int(rng.integers(1, 7)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

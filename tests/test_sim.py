@@ -117,6 +117,9 @@ def test_config_validation():
     for field in ("batch", "max_frames", "list_size"):
         with pytest.raises(ValueError, match=field):
             SimConfig(code=code, **{field: 0})
+    for snr in ((np.nan,), (np.inf,), (1.0, np.inf)):
+        with pytest.raises(ValueError, match="snr_db must be finite"):
+            SimConfig(code=code, snr_db=snr)
 
 
 def test_csv_format():
