@@ -33,24 +33,42 @@ def _extend_rate0(ps, alpha):
 
 
 def _extend_serial(ps, alpha):
-    """Bit-serial Rate-1 extension: one fork per column.
+    """Bit-serial Rate-1 extension: one fork per column that can change paths.
 
-    Column i's LLRs are read through each path's source row at node entry
-    (``ps.lineage``), so ``alpha`` is never re-gathered; the decided bits
-    are traced back through the node's forks once, at node exit.
+    While the path set is ``settled``, the leading columns whose forks are
+    no-ops (``ps.noop_columns``) are decided by hard decision without a fork
+    or a map; the path set, its row order and the metrics are the same as if
+    they had forked.  After a real fork the remaining columns are tested
+    again.  Column LLRs are read through each path's source row at node
+    entry (``ps.lineage``), so ``alpha`` is never re-gathered; the decided
+    bits are traced back through the node's forks once, at node exit, where
+    a no-op run keeps every row in place.
     """
     size = alpha.shape[-1]
     gen = len(ps.maps)
-    forks = []
-    for i in range(size):
-        a = alpha[ps.rows, ps.lineage(gen), i] if i else alpha[:, :, 0]
-        forks.append(ps.fork(_relu_neg(a), _relu_pos(a)))
+    steps = []  # (column or no-op run, fork src or None, bits there)
+    i = 0
+    while i < size:
+        settled = ps.settled()
+        cols = slice(i, None) if settled else i  # a run test reads the rest
+        a = alpha[ps.rows, ps.lineage(gen), cols] if len(ps.maps) > gen else alpha[:, :, cols]
+        if settled:
+            run = [*ps.noop_columns(a).tolist(), False].index(False)
+            if run:
+                steps.append((slice(i, i + run), None, a[:, :, :run] < 0))
+                i += run
+                if i == size:
+                    break
+            a = a[:, :, run]
+        src, bits = ps.fork(_relu_neg(a), _relu_pos(a))
+        steps.append((i, src, bits))
+        i += 1
     beta = np.empty((ps.B, ps.P, size), dtype=np.uint8)
-    row, beta[:, :, -1] = forks[-1]  # row: each path's row just after fork i
-    for i in range(size - 2, -1, -1):
-        src, bits = forks[i]
-        beta[:, :, i] = bits[ps.rows, row]
-        row = src[ps.rows, row]
+    row = None  # each path's row after the step being traced; None: unmoved
+    for cols, src, bits in reversed(steps):
+        beta[:, :, cols] = bits if row is None else bits[ps.rows, row]
+        if src is not None:
+            row = src if row is None else src[ps.rows, row]
     return beta
 
 

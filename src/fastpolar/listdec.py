@@ -34,6 +34,7 @@ class PathSet:
         self.pm = np.zeros((B, 1))
         self.maps = []
         self.rows = np.arange(B)[:, None]
+        self.tied = False  # metrics seen tied since the last penalize
 
     def lineage(self, gen):
         """Row indices mapping the current path set back to generation ``gen``.
@@ -71,8 +72,32 @@ class PathSet:
         self.P = newP
         return src, bits
 
+    def settled(self):
+        """Whether a fork can leave the paths as they are: the list is full
+        and the metrics rise strictly across rows.  Once metrics tie, it says
+        False without looking until the next ``penalize``: forks mostly keep
+        a tie among hard candidates (an all-zero frame stays tied)."""
+        if self.P < self.L or self.tied:
+            return False
+        step = self.pm[:, 1:] - self.pm[:, :-1]
+        if not np.count_nonzero(step <= 0):
+            return True
+        self.tied = bool(np.count_nonzero(step == 0))
+        return False
+
+    def noop_columns(self, a):
+        """Per column of a (B, P, k) LLR block, whether its fork is a no-op.
+
+        When ``settled()``, a fork keeps every row in place with its metric
+        and hard decision ``a < 0`` if each flip candidate ``pm + |a|`` is
+        strictly above the largest metric.  Such forks leave the metrics as
+        they were, so column j's answer holds after those before it."""
+        pm = self.pm[:, :, None]
+        return (pm + np.abs(a) > pm[:, -1:]).all(axis=(0, 1))
+
     def penalize(self, pen):
         self.pm = self.pm + pen
+        self.tied = False
 
 
 def scl_decode_paths_batch(channel_llrs, code, L, minsum=False):

@@ -80,6 +80,15 @@ class SimConfig:
         crc_w = self.crc.width if self.crc else 0
         if crc_w >= self.code.K + (self.code.K == 0):
             raise ValueError("CRC wider than the unfrozen budget")
+        for s in snr:  # the channel scales LLRs by 2 / sigma**2
+            try:
+                sigma = self.sigma_for(s)
+                ok = 0.0 < sigma < np.inf and 2.0 / sigma**2 < np.inf
+            except (OverflowError, ZeroDivisionError):
+                ok = False
+            if not ok:
+                raise ValueError(f"snr_db {s} gives no finite, positive noise sigma "
+                                 f"with a finite LLR scale 2/sigma**2")
 
     @property
     def payload_bits(self):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fastpolar.classify import PlanOptions, classify
+from fastpolar.classify import PlanOptions, classify, option_sweep
 from fastpolar.codec import encode, g_step
 from fastpolar.construction import PolarCode, construct_code
 from fastpolar.fastsc import (decode_gpc_sc, decode_grep_sc, fast_ssc_decode, fast_ssc_decode_batch,
@@ -142,6 +144,32 @@ def test_fast_ssc_equals_sc_random_codes(n, K):
     for opts in (PlanOptions(), PlanOptions(True), GEN):
         u_f, _ = fast_ssc_decode_batch(llrs, classify(code, opts), minsum=True)
         assert np.array_equal(u_sc, u_f)
+
+
+@given(st.integers(0, 7), st.integers(0, 10 ** 6))
+@settings(max_examples=80, deadline=None)
+def test_random_patterns_every_rung(n, seed):
+    # every node kind on random frozen patterns, min-sum.  RG-PC ignores
+    # its AF frozen bits, so it is left out
+    rng = np.random.default_rng(seed)
+    code = make_code(rng.random(1 << n) < rng.uniform(0.1, 0.9))
+    llrs = rng.normal(size=(16, code.N)) * 2.5
+    u_ref, x_ref = sc_descent_batch(llrs, code, minsum=True)
+    for label, opts in option_sweep():
+        if not opts.max_af:
+            u, x = fast_ssc_decode_batch(llrs, classify(code, opts), minsum=True)
+            assert np.array_equal(u, u_ref) and np.array_equal(x, x_ref), label
+
+
+@pytest.mark.xfail(strict=True, reason="a Rate-1 node decides an exact-zero LLR as 0; "
+                   "SC copies its partner's decision there")
+def test_zero_llr_tie_break_matches_sc():
+    # both decisions have metric 2; SC's f-step gives -0.0, so u0 = 0 and
+    # then u1 = 1, while the node-root hard decision gives x = [1, 0]
+    code = make_code([1, 1])
+    llrs = np.array([[-2.0, 0.0]])
+    u_ref, _ = sc_descent_batch(llrs, code, minsum=True)
+    assert np.array_equal(fast_ssc_decode_batch(llrs, classify(code), minsum=True)[0], u_ref)
 
 
 def test_parity_soundness_of_encoder_on_gpc():

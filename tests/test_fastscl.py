@@ -8,7 +8,7 @@ from fastpolar.codec import polar_transform
 from fastpolar.construction import PolarCode, construct_code
 from fastpolar.fastsc import fast_ssc_decode_batch
 from fastpolar.fastscl import fast_scl_decode, fast_scl_decode_batch, fast_scl_decode_paths_batch
-from fastpolar.listdec import select_output
+from fastpolar.listdec import PathSet, select_output
 from helpers import canon_paths, path_metric_of, scl_descent_paths_batch
 
 GEN = PlanOptions(enable_grep=True, enable_gpc=True)
@@ -147,6 +147,57 @@ def test_deep_lineage_matches_descent(plan_of):
         assert canon_paths(u[b], pm[b]) == canon_paths(u_ref[b], pm_ref[b]), f"frame {b}"
         for p in range(u.shape[1]):
             assert pm[b, p] == pytest.approx(path_metric_of(llrs[b], u[b, p]), rel=1e-9, abs=1e-9)
+
+
+@given(st.integers(1, 6), st.integers(0, 10 ** 6), st.sampled_from([2, 4, 8]),
+       st.sampled_from([1, 4]))
+@settings(max_examples=80, deadline=None)
+def test_tie_heavy_llrs_keep_path_sets(n, seed, L, B):
+    # small-integer LLRs give tied metrics and flip candidates equal to the
+    # largest kept metric, where a wrong no-op predicate changes the paths
+    rng = np.random.default_rng(seed)
+    code = make_code(rng.random(1 << n) < rng.uniform(0.2, 0.9))
+    llrs = rng.integers(-2, 3, (B, code.N)).astype(float)
+    # plain SCL keeps descent's paths in descent's order
+    u, pm = fast_scl_decode_paths_batch(llrs, leaves_only_plan(code), L, minsum=True)
+    u_ref, pm_ref = scl_descent_paths_batch(llrs, code, L, minsum=True)
+    assert np.array_equal(u, u_ref) and np.array_equal(pm, pm_ref)
+    # special nodes order their candidates unlike descent, so a tie on the
+    # list cut can keep another tied path there; skipping no-op forks must
+    # still change nothing
+    plan = classify(code, GEN)
+    u_gen, pm_gen = fast_scl_decode_paths_batch(llrs, plan, L, minsum=True)
+    with pytest.MonkeyPatch.context() as mp:  # no no-op test: every column forks
+        mp.setattr(PathSet, "settled", lambda ps: False)
+        u_all, pm_all = fast_scl_decode_paths_batch(llrs, plan, L, minsum=True)
+    assert np.array_equal(u_gen, u_all) and np.array_equal(pm_gen, pm_all)
+    for uu, mm in ((u, pm), (u_gen, pm_gen)):
+        for b in range(B):
+            for p in range(uu.shape[1]):
+                assert mm[b, p] == path_metric_of(llrs[b], uu[b, p])
+
+
+def test_noop_forks_are_skipped(monkeypatch):
+    # a noisy frame at 2 dB: most Rate-1 columns are decided by hard
+    # decision without a fork, and the decode is the same as with every fork
+    code = construct_code(8, 128, 0.5)
+    plan = classify(code, GEN)
+    rng = np.random.default_rng(2)
+    x = polar_transform(rng.integers(0, 2, (1, code.N), dtype=np.uint8) * code.flags)
+    sigma = np.sqrt(1.0 / (2.0 * 0.5 * 10 ** 0.2))
+    llrs = 2.0 * ((1.0 - 2.0 * x) + sigma * rng.normal(size=x.shape)) / sigma**2
+    u_ref, pm_ref = fast_scl_decode_paths_batch(llrs, plan, 8, minsum=True)
+    forks = []
+    fork = PathSet.fork
+
+    def counted(ps, pen0, pen1):
+        forks.append(1)
+        return fork(ps, pen0, pen1)
+
+    monkeypatch.setattr(PathSet, "fork", counted)
+    u, pm = fast_scl_decode_paths_batch(llrs, plan, 8, minsum=True)
+    assert len(forks) < code.K
+    assert np.array_equal(u, u_ref) and np.array_equal(pm, pm_ref)
 
 
 def test_rgpc_may_violate_frozen_bits_without_error():

@@ -206,6 +206,55 @@ def test_realign_reuses_composed_lineage(seed, B, L):
     frame(int(rng.integers(1, 7)))
 
 
+def test_noop_predicate_examples():
+    def paths(*pm):
+        ps = PathSet(1, len(pm))
+        ps.P, ps.pm = len(pm), np.array([pm])
+        return ps
+
+    assert not PathSet(1, 3).settled()  # one path, list not full
+    assert not paths(0.0, 2.0, 1.0).settled()  # rows out of metric order
+    ps = paths(0.0, 1.0, 3.0)
+    assert ps.settled()
+    # column 0's flips 5, 5, 5 clear the largest metric 3; column 1's 0 + 3
+    # only ties it; column 2's 0 + 0 is below it
+    a = np.array([[5.0, 3.0, 0.0], [-4.0, 9.0, 2.0], [2.0, -7.0, 1.0]])[None]
+    assert ps.noop_columns(a).tolist() == [True, False, False]
+    # tied metrics: no fork is tested again until the next penalize
+    ps = paths(0.0, 1.0, 1.0)
+    assert not ps.settled() and ps.tied
+    ps.pm = np.array([[0.0, 1.0, 3.0]])
+    assert not ps.settled()
+    ps.penalize(np.zeros((1, 3)))
+    assert ps.settled()
+
+
+@given(st.integers(0, 10 ** 6), st.integers(1, 3), st.sampled_from([1, 2, 3, 4, 8]),
+       st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_noop_predicate_agrees_with_fork(seed, B, L, full):
+    # tie-heavy (pm, a): small integers, repeated metrics, zero LLRs, rows
+    # sometimes out of order, P at or below L.  Wherever the predicate says
+    # no-op, the real fork keeps every row in place with its hard decision
+    # and its metric; this checks row order, which canon_paths does not see
+    rng = np.random.default_rng(seed)
+    ps = PathSet(B, L)
+    ps.P = L if full else int(rng.integers(1, L + 1))
+    ps.pm = np.cumsum(rng.integers(0, 3, (B, ps.P)), axis=1).astype(float)
+    if rng.random() < 0.2:
+        ps.pm = rng.permuted(ps.pm, axis=1)
+    a = rng.integers(-6, 7, (B, ps.P, int(rng.integers(1, 6)))).astype(float)
+    a[rng.random(a.shape) < 0.2] = 0.0
+    noop = ps.noop_columns(a) if ps.settled() else np.zeros(a.shape[-1], bool)
+    pm = ps.pm.copy()
+    for j in np.flatnonzero(noop):
+        col = a[:, :, j]
+        src, bits = ps.fork(np.where(col < 0, -col, 0.0), np.where(col >= 0, col, 0.0))
+        assert np.array_equal(src, np.broadcast_to(np.arange(ps.P), (B, ps.P)))
+        assert np.array_equal(bits, col < 0)
+        assert np.array_equal(ps.pm, pm)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_llrs_rejected(bad):
     code = construct_code(5, 16, 0.5)

@@ -120,6 +120,10 @@ def test_config_validation():
     for snr in ((np.nan,), (np.inf,), (1.0, np.inf)):
         with pytest.raises(ValueError, match="snr_db must be finite"):
             SimConfig(code=code, snr_db=snr)
+    # finite, but sigma or the LLR scale 2/sigma**2 overflows or vanishes
+    for snr in (4000.0, 3080.0, -4000.0):
+        with pytest.raises(ValueError, match=f"snr_db {snr} gives no finite"):
+            SimConfig(code=code, snr_db=(1.0, snr) if snr > 1 else (snr, 1.0))
 
 
 def test_csv_format():
