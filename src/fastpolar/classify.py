@@ -1,9 +1,10 @@
 """Decode-tree pruning: turn a frozen-flag vector into a plan of special nodes.
 
 Matching is top-down at every node with a fixed precedence: Rate-0,
-Rate-1, G-Rep (smallest Rate-C), G-PC (largest parity block), RG-PC
-(largest parity block within the AF budget), Rep, SPC, otherwise split
-and recurse.
+Rate-1, G-Rep (smallest Rate-C), G-PC, RG-PC (within the AF budget), Rep,
+SPC, otherwise split and recurse.  The parity kinds share one block size
+Np: SPC has Np = 1, and G-PC and RG-PC take the largest power of two in
+the leading frozen run, RG-PC ignoring the frozen (AF) bits after it.
 """
 
 from collections import Counter
@@ -30,12 +31,12 @@ class PlanOptions:
 BASE_OPTIONS = PlanOptions()
 
 
-def option_sweep(max_af_values=(1, 2, 3)):
+def option_sweep():
     """The progressive node-set columns: base, +G-Rep, +G-PC, +RG-PC(k AF)."""
     cols = [("base", PlanOptions()),
             ("+grep", PlanOptions(enable_grep=True)),
             ("+gpc", PlanOptions(enable_grep=True, enable_gpc=True))]
-    for k in max_af_values:
+    for k in (1, 2, 3):
         cols.append((f"+rgpc{k}", PlanOptions(enable_grep=True, enable_gpc=True, max_af=k)))
     return cols
 
@@ -46,9 +47,9 @@ class DecodePlan:
 
     ``offset`` is the node's position in the length-N flag vector; a node
     at stage t spans ``2**stage`` bits.  Kind-specific payload:
-    grep -> rate_c (sub-plan), gpc/rgpc -> np_sub (parity block size) and,
-    for rgpc, af_positions (node-relative indices of the ignored frozen
-    bits), split -> left/right.
+    grep -> rate_c (sub-plan), spc/gpc/rgpc -> np_sub (parity block size,
+    1 for SPC) and, for rgpc, af_positions (node-relative indices of the
+    ignored frozen bits), split -> left/right.
     """
 
     kind: str  # rate0 | rate1 | rep | spc | grep | gpc | rgpc | split
@@ -111,45 +112,24 @@ class DecodePlan:
 _CHILD_FIELDS = {"split": ("left", "right"), "grep": ("rate_c",)}
 
 
-def _match_grep(flags, stage, offset, opts):
+def _match_grep(flags, stage, offset, z, opts):
     # everything left of the rightmost 2^p block frozen, p < stage
-    size = 1 << stage
-    ones = np.flatnonzero(flags)
-    first_one = int(ones[0])
-    if first_one < size // 2:
-        return None  # left child not Rate-0
-    p = 0
-    while (1 << p) < size - first_one:
-        p += 1
-    rc_off = size - (1 << p)
+    p = ((1 << stage) - z - 1).bit_length()  # smallest 2^p covering the rest
+    rc_off = (1 << stage) - (1 << p)
     rate_c = _classify(flags[rc_off:], p, offset + rc_off, opts)
     return DecodePlan("grep", stage, offset, rate_c=rate_c)
 
 
-def _leading_zero_run(flags):
-    ones = np.flatnonzero(flags)
-    return int(ones[0]) if ones.size else flags.size
-
-
-def _match_gpc(flags, stage, offset):
-    z = _leading_zero_run(flags)
-    size = 1 << stage
-    if z == 0 or z >= size or z & (z - 1):
+def _match_parity(flags, stage, offset, z, ones, opts):
+    # Np is the largest power of two in the leading frozen run z >= 1; the
+    # frozen bits after it are the AF bits, counted without building them
+    np_sub = 1 << (z.bit_length() - 1)
+    n_af = (1 << stage) - np_sub - ones
+    if n_af == 0 and opts.enable_gpc:
+        return DecodePlan("gpc", stage, offset, np_sub=np_sub)
+    if opts.max_af == 0 or n_af > opts.max_af:
         return None
-    if not np.all(flags[z:]):
-        return None
-    return DecodePlan("gpc", stage, offset, np_sub=z)
-
-
-def _match_rgpc(flags, stage, offset, max_af):
-    z = _leading_zero_run(flags)
-    size = 1 << stage
-    if z == 0 or z >= size:
-        return None
-    np_sub = 1 << (z.bit_length() - 1)  # largest power of two inside the run
     af = tuple(int(i) for i in np.flatnonzero(flags[np_sub:] == 0) + np_sub)
-    if len(af) > max_af:
-        return None
     return DecodePlan("rgpc", stage, offset, np_sub=np_sub, af_positions=af)
 
 
@@ -160,22 +140,17 @@ def _classify(flags, stage, offset, opts):
         return DecodePlan("rate0", stage, offset)
     if ones == size:
         return DecodePlan("rate1", stage, offset)
-    if opts.enable_grep:
-        node = _match_grep(flags, stage, offset, opts)
-        if node is not None:
-            return node
-    if opts.enable_gpc:
-        node = _match_gpc(flags, stage, offset)
-        if node is not None:
-            return node
-    if opts.max_af > 0:
-        node = _match_rgpc(flags, stage, offset, opts.max_af)
+    if opts.enable_grep or opts.enable_gpc or opts.max_af:
+        z = int(flags.argmax())  # the leading frozen run
+        if opts.enable_grep and z >= size // 2:
+            return _match_grep(flags, stage, offset, z, opts)
+        node = _match_parity(flags, stage, offset, z, ones, opts) if z else None
         if node is not None:
             return node
     if ones == 1 and flags[-1]:
         return DecodePlan("rep", stage, offset)
     if ones == size - 1 and not flags[0]:
-        return DecodePlan("spc", stage, offset)
+        return DecodePlan("spc", stage, offset, np_sub=1)
     half = size // 2
     return DecodePlan(
         "split", stage, offset,

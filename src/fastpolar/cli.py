@@ -12,14 +12,11 @@ import sys
 import numpy as np
 
 from .classify import PlanOptions, classify, plan_stats
-from .codec import encode, sc_decode
+from .codec import encode
 from .construction import construct_code, load_descriptor, save_descriptor
 from .crc import CRC_NAMES, crc_by_name
-from .fastsc import fast_ssc_decode
-from .fastscl import fast_scl_decode
 from .latency import latency_table
-from .listdec import scl_decode
-from .sim import load_sim_config, run_bler
+from .sim import DECODERS, batch_decoder, load_sim_config, run_bler
 
 
 def _read_vector(stream, dtype):
@@ -55,18 +52,9 @@ def cmd_encode(args):
 def cmd_decode(args):
     code = load_descriptor(args.code)
     llrs = _read_vector(sys.stdin, float)
-    if args.algo == "sc":
-        u_hat, _ = sc_decode(llrs, code, minsum=args.minsum)
-    elif args.algo == "fastssc":
-        plan = classify(code, _node_options(args))
-        u_hat, _ = fast_ssc_decode(llrs, plan, minsum=args.minsum)
-    elif args.algo == "scl":
-        u_hat, _ = scl_decode(llrs, code, args.list, crc_by_name(args.crc), minsum=args.minsum)
-    else:
-        plan = classify(code, _node_options(args))
-        u_hat, _ = fast_scl_decode(llrs, code, plan, args.list, crc_by_name(args.crc),
-                                   minsum=args.minsum)
-    _write_vector(sys.stdout, u_hat, "%d")
+    decode = batch_decoder(args.algo, code, _node_options(args), args.list,
+                           crc_by_name(args.crc), args.minsum)
+    _write_vector(sys.stdout, decode(llrs[None, :])[0], "%d")
 
 
 def cmd_classify(args):
@@ -126,20 +114,20 @@ def build_parser():
     p.add_argument("--code", required=True)
     p.set_defaults(func=cmd_encode)
 
-    p = sub.add_parser("decode", help="decode an LLR vector from stdin")
+    nodes = argparse.ArgumentParser(add_help=False)  # node-set options of decode and classify
+    nodes.add_argument("--nodes", choices=["base", "grep", "gpc", "rgpc"], default="gpc")
+    nodes.add_argument("--max-af", dest="max_af", type=int, choices=range(4), default=0)
+
+    p = sub.add_parser("decode", parents=[nodes], help="decode an LLR vector from stdin")
     p.add_argument("--code", required=True)
-    p.add_argument("--algo", choices=["sc", "fastssc", "scl", "ssclspc"], default="sc")
+    p.add_argument("--algo", choices=list(DECODERS), default="sc")
     p.add_argument("--list", type=int, default=4)
     p.add_argument("--crc", choices=list(CRC_NAMES), default="none")
-    p.add_argument("--nodes", choices=["base", "grep", "gpc", "rgpc"], default="gpc")
-    p.add_argument("--max-af", dest="max_af", type=int, choices=range(4), default=0)
     p.add_argument("--minsum", action="store_true")
     p.set_defaults(func=cmd_decode)
 
-    p = sub.add_parser("classify", help="print the pruned decode tree")
+    p = sub.add_parser("classify", parents=[nodes], help="print the pruned decode tree")
     p.add_argument("--code", required=True)
-    p.add_argument("--nodes", choices=["base", "grep", "gpc", "rgpc"], default="gpc")
-    p.add_argument("--max-af", dest="max_af", type=int, choices=range(4), default=0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_classify)
 
@@ -163,7 +151,10 @@ def main(argv=None):
         ap.error("--max-af applies only with --nodes rgpc")
     if getattr(args, "list", 1) < 1:
         ap.error("--list must be >= 1")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:  # bad input data, codes or configs
+        ap.error(str(exc))
 
 
 if __name__ == "__main__":

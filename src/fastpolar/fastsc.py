@@ -85,11 +85,10 @@ _NODE_DECODERS = {
     "rate0": lambda alpha, plan, minsum: np.zeros(alpha.shape, dtype=np.uint8),
     "rate1": lambda alpha, plan, minsum: (alpha < 0).astype(np.uint8),
     "rep": _decode_rep,
-    "spc": lambda alpha, plan, minsum: wagner_decode(alpha),
     "grep": lambda alpha, plan, minsum: decode_grep_sc(alpha, plan, minsum),
-    # RG-PC decodes as G-PC: its AF-bit constraints are ignored
-    "gpc": lambda alpha, plan, minsum: decode_gpc_sc(alpha, plan.np_sub),
-    "rgpc": lambda alpha, plan, minsum: decode_gpc_sc(alpha, plan.np_sub),
+    # SPC is G-PC with Np = 1; RG-PC decodes as G-PC, ignoring its AF bits
+    **dict.fromkeys(("spc", "gpc", "rgpc"),
+                    lambda alpha, plan, minsum: decode_gpc_sc(alpha, plan.np_sub)),
     "split": _decode_split,
 }
 

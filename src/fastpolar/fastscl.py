@@ -1,16 +1,19 @@
 """Fast SCL decoding over a pruned decode plan.
 
 Rate-0, Rep and Rate-1 nodes extend the path set at the node root; G-Rep
-folds its LLRs onto the Rate-C child; SPC, G-PC and RG-PC share one
-extension that recurses to Rate-0/Rate-1 halves (SPC is G-PC with
-Np = 1).  With the min-sum f-update the surviving path set (bit histories
-and metrics) matches tree-descent SCL for every node kind except RG-PC,
-whose metrics are exact only for a descent that ignores its AF bits.
+folds its LLRs onto the Rate-C child; SPC, G-PC and RG-PC are walked as
+split shapes of Rate-0 and Rate-1 nodes (SPC is G-PC with Np = 1).  With
+the min-sum f-update the surviving path set (bit histories and metrics)
+matches tree-descent SCL for every node kind except RG-PC, whose metrics
+are exact only for a descent that ignores its AF bits.
 Plain SCL is this walker on the leaves-only plan.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
+from .classify import DecodePlan
 from .codec import _llr_batch, combine, f_step, g_step, polar_transform
 from .listdec import PathSet, select_output
 
@@ -77,25 +80,6 @@ def _extend_rep(ps, alpha):
     return np.repeat(bits[:, :, None], alpha.shape[-1], axis=2)
 
 
-def _extend_gpc(ps, alpha, np_sub, minsum):
-    """SPC, G-PC and RG-PC extension; SPC is the Np = 1 case.
-
-    The node splits as (same-Np half, Rate-1 half) down to its all-frozen
-    Np block; recursing that shape (Rate-0 at the bottom, bit-serial Rate-1
-    on every right half) keeps the descent path set and enforces the Np
-    parity constraints.  RG-PC treats its AF bits as information bits.
-    """
-    if alpha.shape[-1] == np_sub:
-        return _extend_rate0(ps, alpha)
-    gen = len(ps.maps)
-    bl = _extend_gpc(ps, f_step(alpha, minsum), np_sub, minsum)
-    alpha = ps.realign(alpha, gen)
-    gen_r = len(ps.maps)
-    br = _extend_serial(ps, g_step(alpha, bl))
-    bl = ps.realign(bl, gen_r)
-    return combine(bl, br)
-
-
 def _extend_grep(ps, alpha, plan, minsum):
     # fold through the all-frozen left siblings, charging their Rate-0
     # penalties level by level
@@ -107,6 +91,21 @@ def _extend_grep(ps, alpha, plan, minsum):
         alpha = alpha[..., half:] + alpha[..., :half]
     beta_rc = _extend_node(ps, alpha, plan.rate_c, minsum)
     return np.concatenate([beta_rc] * (size >> p), axis=-1)
+
+
+@lru_cache(maxsize=None)
+def _parity_shape(stage, np_sub):
+    """The split shape an SPC, G-PC or RG-PC node is walked as.
+
+    The node splits as (same-Np half, Rate-1 half) down to its all-frozen
+    Np block; walking that shape (Rate-0 at the bottom, bit-serial Rate-1
+    on every right half) keeps the descent path set and enforces the Np
+    parity constraints.  RG-PC treats its AF bits as information bits.
+    """
+    if 1 << stage == np_sub:
+        return DecodePlan("rate0", stage, 0)
+    return DecodePlan("split", stage, 0, left=_parity_shape(stage - 1, np_sub),
+                      right=DecodePlan("rate1", stage - 1, 0))
 
 
 def _extend_split(ps, alpha, plan, minsum):
@@ -125,10 +124,9 @@ _NODE_EXTENDERS = {
     "rate0": lambda ps, alpha, plan, minsum: _extend_rate0(ps, alpha),
     "rate1": lambda ps, alpha, plan, minsum: _extend_serial(ps, alpha),
     "rep": lambda ps, alpha, plan, minsum: _extend_rep(ps, alpha),
-    "spc": lambda ps, alpha, plan, minsum: _extend_gpc(ps, alpha, 1, minsum),
     "grep": _extend_grep,
-    "gpc": lambda ps, alpha, plan, minsum: _extend_gpc(ps, alpha, plan.np_sub, minsum),
-    "rgpc": lambda ps, alpha, plan, minsum: _extend_gpc(ps, alpha, plan.np_sub, minsum),
+    **dict.fromkeys(("spc", "gpc", "rgpc"), lambda ps, alpha, plan, minsum: _extend_split(
+        ps, alpha, _parity_shape(plan.stage, plan.np_sub), minsum)),
     "split": _extend_split,
 }
 

@@ -1,12 +1,13 @@
 """Time-step cost model for plan-based SC and SCL decoding.
 
 f/g updates cost one step each regardless of stage.  SC node prices:
-Rate-0/Rate-1 1, Rep 2, SPC 3, G-PC/RG-PC 3, G-Rep 1 plus its Rate-C
+Rate-0/Rate-1 1, Rep 2, SPC/G-PC/RG-PC 3, G-Rep 1 plus its Rate-C
 node.  Under SCL, information bits are estimated one at a time (shared
 partial-sum update and metric sorting), so a node of size 2^t costs:
-Rate-1 2*2^t, Rep 1+2^t, SPC 2*2^t-1, G-PC/RG-PC 1+ceil(2*(2^t-1)/Np);
-Rate-0 and the G-Rep wrapper are unchanged.  No resource limits are
-modelled, and no cost is assigned to the final CRC check.
+Rate-1 2*2^t, Rep 1+2^t, SPC/G-PC/RG-PC 1+ceil(2*(2^t-1)/Np), which is
+2*2^t-1 for SPC (Np = 1); Rate-0 and the G-Rep wrapper are unchanged.  No
+resource limits are modelled, and no cost is assigned to the final CRC
+check.
 """
 
 import math
@@ -40,10 +41,8 @@ _PRICES = {
     "rate0": lambda node: (1, 1),
     "rate1": lambda node: (1, 2 * node.size),
     "rep": lambda node: (2, 1 + node.size),
-    "spc": lambda node: (3, 2 * node.size - 1),
     "grep": lambda node: (1, 1),
-    "gpc": _parity_prices,
-    "rgpc": _parity_prices,
+    **dict.fromkeys(("spc", "gpc", "rgpc"), _parity_prices),
     "split": lambda node: (2, 2),
 }
 
@@ -66,14 +65,14 @@ def cost_scl(plan, node_set="custom"):
     return _report(plan, "scl", node_set)
 
 
-def latency_table(code, max_af_sweep=(1, 2, 3)):
+def latency_table(code):
     """Per-decoder progression of costs over the node-set columns.
 
     Returns {"sc": [CostReport, ...], "scl": [...]} with one report per
     column: base, +G-Rep, +G-Rep+G-PC, then +RG-PC per AF budget.
     """
     table = {"sc": [], "scl": []}
-    for label, opts in option_sweep(max_af_sweep):
+    for label, opts in option_sweep():
         plan = classify(code, opts)
         table["sc"].append(cost_sc(plan, label))
         table["scl"].append(cost_scl(plan, label))

@@ -24,10 +24,23 @@ from .fastsc import fast_ssc_decode_batch
 from .fastscl import fast_scl_decode_batch
 from .listdec import scl_decode_batch
 
-__all__ = ["SimConfig", "SimPoint", "SimResult", "awgn_bpsk_llrs", "run_bler",
-           "load_sim_config"]
+__all__ = ["DECODERS", "SimConfig", "SimPoint", "SimResult", "awgn_bpsk_llrs", "run_bler",
+           "batch_decoder", "load_sim_config"]
 
-_DECODERS = ("sc", "fastssc", "scl", "ssclspc")
+# decoder name -> (whether it walks the classified plan, batch call
+# (llrs, code, plan, L, crc, minsum) -> u_hat); the lambdas look the entry
+# points up per call, so a wrapper installed on this module's names sees
+# every decode
+DECODERS = {
+    "sc": (False, lambda llrs, code, plan, L, crc, minsum:
+           sc_decode_batch(llrs, code, minsum=minsum)[0]),
+    "fastssc": (True, lambda llrs, code, plan, L, crc, minsum:
+                fast_ssc_decode_batch(llrs, plan, minsum=minsum)[0]),
+    "scl": (False, lambda llrs, code, plan, L, crc, minsum:
+            scl_decode_batch(llrs, code, L, crc, minsum=minsum)[0]),
+    "ssclspc": (True, lambda llrs, code, plan, L, crc, minsum:
+                fast_scl_decode_batch(llrs, code, plan, L, crc, minsum=minsum)[0]),
+}
 
 
 def awgn_bpsk_llrs(x, sigma, rng):
@@ -61,8 +74,8 @@ class SimConfig:
     batch: int = 1024
 
     def __post_init__(self):
-        if self.decoder not in _DECODERS:
-            raise ValueError(f"decoder must be one of {_DECODERS}")
+        if self.decoder not in DECODERS:
+            raise ValueError(f"decoder must be one of {tuple(DECODERS)}")
         for name in ("list_size", "min_errors", "max_frames", "batch"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -80,15 +93,15 @@ class SimConfig:
         crc_w = self.crc.width if self.crc else 0
         if crc_w >= self.code.K + (self.code.K == 0):
             raise ValueError("CRC wider than the unfrozen budget")
-        for s in snr:  # the channel scales LLRs by 2 / sigma**2
+        for s in snr:  # g-steps add up to N LLRs of about 2/sigma**2; 2x for the noise
             try:
                 sigma = self.sigma_for(s)
-                ok = 0.0 < sigma < np.inf and 2.0 / sigma**2 < np.inf
+                ok = 0.0 < sigma < np.inf and 4.0 * self.code.N / sigma**2 < np.finfo(float).max
             except (OverflowError, ZeroDivisionError):
                 ok = False
             if not ok:
                 raise ValueError(f"snr_db {s} gives no finite, positive noise sigma "
-                                 f"with a finite LLR scale 2/sigma**2")
+                                 f"with N*2/sigma**2 below half the float maximum")
 
     @property
     def payload_bits(self):
@@ -161,19 +174,12 @@ def _frame_rng(seed, snr_idx, frame_idx):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _make_decoder(cfg):
-    code = cfg.code
-    if cfg.decoder == "sc":
-        return lambda llrs: sc_decode_batch(llrs, code, minsum=cfg.minsum)[0]
-    if cfg.decoder == "fastssc":
-        plan = classify(code, cfg.plan_options())
-        return lambda llrs: fast_ssc_decode_batch(llrs, plan, minsum=cfg.minsum)[0]
-    if cfg.decoder == "scl":
-        return lambda llrs: scl_decode_batch(llrs, code, cfg.list_size, cfg.crc,
-                                             minsum=cfg.minsum)[0]
-    plan = classify(code, cfg.plan_options())
-    return lambda llrs: fast_scl_decode_batch(llrs, code, plan, cfg.list_size, cfg.crc,
-                                              minsum=cfg.minsum)[0]
+def batch_decoder(name, code, opts, L, crc, minsum):
+    """The (B, N) LLRs -> (B, N) u_hat call of decoder ``name``; the fast
+    decoders classify ``code`` under ``opts`` once, here."""
+    fast, call = DECODERS[name]
+    plan = classify(code, opts) if fast else None
+    return lambda llrs: call(llrs, code, plan, L, crc, minsum)
 
 
 def _gen_frames(cfg, snr_idx, start, count, sigma):
@@ -196,7 +202,8 @@ def _gen_frames(cfg, snr_idx, start, count, sigma):
 
 def run_bler(cfg, label=""):
     """Run the Monte-Carlo sweep described by ``cfg``."""
-    decode = _make_decoder(cfg)
+    decode = batch_decoder(cfg.decoder, cfg.code, cfg.plan_options(), cfg.list_size,
+                           cfg.crc, cfg.minsum)
     info = cfg.code.info_indices
     nbits = cfg.payload_bits
     result = SimResult(config_label=label or cfg.decoder)

@@ -200,3 +200,31 @@ def test_leaves_only_plan():
     assert plan_stats(plan)["split"] == code.N - 1
     # memoised per frozen pattern, not per code object
     assert leaves_only_plan(construct_code(6, 20, 0.5)) is plan
+
+
+@given(st.integers(1, 7), st.integers(0, 10 ** 6), st.booleans(), st.booleans(),
+       st.integers(0, 3))
+@settings(max_examples=300, deadline=None)
+def test_parity_nodes_under_every_option_combination(n, seed, grep, gpc, max_af):
+    # off-ladder combinations such as PlanOptions(max_af=2) reach classify
+    # through SimConfig, so all 2 x 2 x 4 of them are covered
+    rng = np.random.default_rng(seed)
+    code = make_code(rng.random(1 << n) < rng.uniform(0.1, 0.95))
+    opts = PlanOptions(grep, gpc, max_af)
+    plan = classify(code, opts)
+    for node in plan.walk():
+        s = code.flags[node.offset:node.offset + node.size]
+        ones = np.flatnonzero(s)
+        run = int(ones[0]) if ones.size else s.size  # leading frozen run
+        if node.kind in ("spc", "gpc", "rgpc"):
+            z = node.np_sub
+            assert z & (z - 1) == 0 and z <= run < 2 * z, (node.kind, z, run)
+        if node.kind == "spc":
+            assert z == 1 and s[1:].all()
+        elif node.kind == "gpc":
+            assert gpc and z == run and s[z:].all()
+        elif node.kind == "rgpc":
+            af = tuple(int(i) for i in np.flatnonzero(s[z:] == 0) + z)
+            assert 0 < max_af and node.af_positions == af and len(af) <= max_af
+        elif node.kind == "grep":
+            assert grep

@@ -4,9 +4,14 @@ import json
 import numpy as np
 import pytest
 
+from fastpolar.classify import PlanOptions, classify
 from fastpolar.cli import main
-from fastpolar.codec import encode
+from fastpolar.codec import encode, sc_decode
 from fastpolar.construction import construct_code, load_descriptor, save_descriptor
+from fastpolar.crc import crc_by_name
+from fastpolar.fastsc import fast_ssc_decode
+from fastpolar.fastscl import fast_scl_decode
+from fastpolar.listdec import scl_decode
 
 
 @pytest.fixture
@@ -51,6 +56,78 @@ def test_decode_noiseless(code_file, monkeypatch, capsys, algo, extra):
     main(["decode", "--code", str(code_file), "--algo", algo, "--minsum"] + extra)
     out = np.array(capsys.readouterr().out.split(), np.uint8)
     assert np.array_equal(out, u)
+
+
+NODE_SETS = {"base": PlanOptions(), "gpc": PlanOptions(True, True),
+             "rgpc": PlanOptions(True, True, 2)}
+
+
+@pytest.mark.parametrize("algo", ["sc", "fastssc", "scl", "ssclspc"])
+@pytest.mark.parametrize("nodes", list(NODE_SETS))
+def test_decode_matches_library(code_file, monkeypatch, capsys, algo, nodes):
+    # noisy frames, where the decoders and node sets disagree with each other
+    code = load_descriptor(code_file)
+    plan = classify(code, NODE_SETS[nodes])
+    crcs = ["none", "crc8"] if algo in ("scl", "ssclspc") else ["none"]
+    rng = np.random.default_rng(7)
+    for minsum in (False, True):
+        for crc in crcs:
+            u = np.zeros(32, np.uint8)
+            u[code.info_indices] = rng.integers(0, 2, 16, dtype=np.uint8)
+            llrs = 2.0 * ((1.0 - 2.0 * encode(u, code)) + 1.2 * rng.normal(size=32)) / 1.44
+            spec = crc_by_name(crc)
+            ref = {"sc": lambda: sc_decode(llrs, code, minsum),
+                   "fastssc": lambda: fast_ssc_decode(llrs, plan, minsum),
+                   "scl": lambda: scl_decode(llrs, code, 4, spec, minsum),
+                   "ssclspc": lambda: fast_scl_decode(llrs, code, plan, 4, spec, minsum)}
+            feed(monkeypatch, " ".join(repr(float(v)) for v in llrs))
+            main(["decode", "--code", str(code_file), "--algo", algo, "--nodes", nodes,
+                  "--list", "4", "--crc", crc]
+                 + ["--max-af", "2"] * (nodes == "rgpc") + ["--minsum"] * minsum)
+            out = np.array(capsys.readouterr().out.split(), np.uint8)
+            assert np.array_equal(out, ref[algo]()[0]), (minsum, crc)
+
+
+def _bad_inputs(tmp_path):
+    """Seven inputs that are not usable, each as (argv, stdin, message)."""
+    code = construct_code(4, 8, 0.5)
+    save_descriptor(code, tmp_path / "k8.json")
+    desc = json.loads((tmp_path / "k8.json").read_text())
+    desc["frozen_indices"][1] = desc["frozen_indices"][0]
+    (tmp_path / "dup.json").write_text(json.dumps(desc))
+    (tmp_path / "sim.json").write_text(json.dumps({"code": "k8.json", "crc": "crc16"}))
+    k8 = ["--code", str(tmp_path / "k8.json")]
+    frozen = np.zeros(16, np.uint8)
+    frozen[code.frozen_indices[0]] = 1
+    llrs = " ".join(["1.5"] * 16)
+    return {
+        "crc-wider-than-K": (["decode", *k8, "--algo", "scl", "--crc", "crc16"], llrs,
+                             "shorter than the CRC width"),
+        "nan-llrs": (["decode", *k8], "nan " + " ".join(["1.5"] * 15), "not finite"),
+        "short-frame": (["decode", *k8], "1 2 3", "expected 16 LLRs per frame, got 3"),
+        "repeated-frozen-index": (["decode", "--code", str(tmp_path / "dup.json")], llrs,
+                                  "frozen_indices repeats"),
+        "sim-crc-wider-than-K": (["simulate", "--config", str(tmp_path / "sim.json"),
+                                  "--out", str(tmp_path / "out.csv")], "",
+                                 "CRC wider than the unfrozen budget"),
+        "encode-frozen-one": (["encode", *k8], " ".join(map(str, frozen)),
+                              "nonzero value at a frozen index"),
+        "missing-code-file": (["classify", "--code", str(tmp_path / "missing.json")], "",
+                              "No such file or directory"),
+    }
+
+
+@pytest.mark.parametrize("case", ["crc-wider-than-K", "nan-llrs", "short-frame",
+                                  "repeated-frozen-index", "sim-crc-wider-than-K",
+                                  "encode-frozen-one", "missing-code-file"])
+def test_bad_inputs_are_usage_errors(tmp_path, monkeypatch, capsys, case):
+    argv, stdin, message = _bad_inputs(tmp_path)[case]
+    feed(monkeypatch, stdin)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
 
 
 def test_classify_text_and_json(code_file, capsys):

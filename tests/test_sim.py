@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -124,6 +125,20 @@ def test_config_validation():
     for snr in (4000.0, 3080.0, -4000.0):
         with pytest.raises(ValueError, match=f"snr_db {snr} gives no finite"):
             SimConfig(code=code, snr_db=(1.0, snr) if snr > 1 else (snr, 1.0))
+
+
+@pytest.mark.parametrize("n,K,bad,good", [(4, 8, 3068.0, 3060.0), (8, 128, 3056.0, 3050.0)])
+def test_snr_bound_keeps_fg_updates_finite(n, K, bad, good):
+    # g-steps add up to N LLRs of about 2/sigma**2: a bound that depends on N
+    code = construct_code(n, K, 0.5)
+    with pytest.raises(ValueError, match=f"snr_db {bad} gives no finite"):
+        SimConfig(code=code, snr_db=(bad,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for decoder in ("sc", "fastssc", "scl", "ssclspc"):
+            cfg = SimConfig(code=code, decoder=decoder, snr_db=(good,), list_size=4,
+                            enable_grep=True, enable_gpc=True, max_frames=32, batch=16)
+            assert run_bler(cfg).points[0].frame_errors == 0
 
 
 def test_csv_format():
