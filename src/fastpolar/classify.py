@@ -2,7 +2,9 @@
 
 Matching is top-down at every node with a fixed precedence: Rate-0,
 Rate-1, G-Rep (smallest Rate-C), G-PC, RG-PC (within the AF budget), Rep,
-SPC, otherwise split and recurse.  The parity kinds share one block size
+SPC, otherwise split and recurse.  The node sets are the paper's ladder,
+each rung adding to the one before: base, +G-Rep, +G-PC, +RG-PC with an
+AF budget of 1 to 3.  The parity kinds share one block size
 Np: SPC has Np = 1, and G-PC and RG-PC take the largest power of two in
 the leading frozen run, RG-PC ignoring the frozen (AF) bits after it.
 """
@@ -14,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = ["PlanOptions", "DecodePlan", "classify", "leaves_only_plan", "plan_stats",
-           "BASE_OPTIONS", "option_sweep"]
+           "option_sweep"]
 
 
 @dataclass(frozen=True)
@@ -26,9 +28,10 @@ class PlanOptions:
     def __post_init__(self):
         if not 0 <= self.max_af <= 3:
             raise ValueError("max_af must be in 0..3")
-
-
-BASE_OPTIONS = PlanOptions()
+        if self.enable_gpc and not self.enable_grep:
+            raise ValueError("enable_gpc needs enable_grep: G-PC is the rung after G-Rep")
+        if self.max_af and not self.enable_gpc:
+            raise ValueError("max_af > 0 needs enable_gpc: RG-PC is the rung after G-PC")
 
 
 def option_sweep():
@@ -125,9 +128,9 @@ def _match_parity(flags, stage, offset, z, ones, opts):
     # frozen bits after it are the AF bits, counted without building them
     np_sub = 1 << (z.bit_length() - 1)
     n_af = (1 << stage) - np_sub - ones
-    if n_af == 0 and opts.enable_gpc:
+    if n_af == 0:
         return DecodePlan("gpc", stage, offset, np_sub=np_sub)
-    if opts.max_af == 0 or n_af > opts.max_af:
+    if n_af > opts.max_af:
         return None
     af = tuple(int(i) for i in np.flatnonzero(flags[np_sub:] == 0) + np_sub)
     return DecodePlan("rgpc", stage, offset, np_sub=np_sub, af_positions=af)
@@ -140,13 +143,14 @@ def _classify(flags, stage, offset, opts):
         return DecodePlan("rate0", stage, offset)
     if ones == size:
         return DecodePlan("rate1", stage, offset)
-    if opts.enable_grep or opts.enable_gpc or opts.max_af:
+    if opts.enable_grep:
         z = int(flags.argmax())  # the leading frozen run
-        if opts.enable_grep and z >= size // 2:
+        if z >= size // 2:
             return _match_grep(flags, stage, offset, z, opts)
-        node = _match_parity(flags, stage, offset, z, ones, opts) if z else None
-        if node is not None:
-            return node
+        if z and opts.enable_gpc:
+            node = _match_parity(flags, stage, offset, z, ones, opts)
+            if node is not None:
+                return node
     if ones == 1 and flags[-1]:
         return DecodePlan("rep", stage, offset)
     if ones == size - 1 and not flags[0]:
@@ -159,7 +163,7 @@ def _classify(flags, stage, offset, opts):
     )
 
 
-def classify(code, opts=BASE_OPTIONS):
+def classify(code, opts=PlanOptions()):
     """Build the pruned decode tree for a code under the given node options."""
     return _classify(code.flags, code.n, 0, opts)
 

@@ -19,9 +19,8 @@ from .latency import latency_table
 from .sim import DECODERS, batch_decoder, load_sim_config, run_bler
 
 
-def _read_vector(stream, dtype):
-    data = stream.read().split()
-    return np.array([dtype(tok) for tok in data])
+def _read_vector(stream):
+    return np.array([float(tok) for tok in stream.read().split()])
 
 
 def _write_vector(stream, vec, fmt):
@@ -45,13 +44,12 @@ def cmd_construct(args):
 
 def cmd_encode(args):
     code = load_descriptor(args.code)
-    u = _read_vector(sys.stdin, int).astype(np.uint8)
-    _write_vector(sys.stdout, encode(u, code), "%d")
+    _write_vector(sys.stdout, encode(_read_vector(sys.stdin), code), "%d")
 
 
 def cmd_decode(args):
     code = load_descriptor(args.code)
-    llrs = _read_vector(sys.stdin, float)
+    llrs = _read_vector(sys.stdin)
     decode = batch_decoder(args.algo, code, _node_options(args), args.list,
                            crc_by_name(args.crc), args.minsum)
     _write_vector(sys.stdout, decode(llrs[None, :])[0], "%d")
@@ -89,7 +87,7 @@ def cmd_simulate(args):
     cfg = load_sim_config(args.config)
     result = run_bler(cfg)
     with open(args.out, "w") as fh:
-        result.to_csv(fh)
+        fh.write(result.to_csv())
     if args.emit_plotdata:
         with open(args.emit_plotdata, "w") as fh:
             fh.write(f"# {result.config_label}\n")

@@ -50,10 +50,12 @@ def polar_transform(u):
 
 
 def encode(u, code):
-    """Encode message vector u (zeros at frozen indices) into a codeword."""
-    u = np.asarray(u, dtype=np.uint8)
+    """Encode message vector u (bits, zeros at frozen indices) into a codeword."""
+    u = np.asarray(u)
     if u.shape[-1] != code.N:
         raise ValueError(f"u must have length {code.N}")
+    if not ((u == 0) | (u == 1)).all():  # a cast to uint8 would wrap or truncate
+        raise ValueError("u must hold only the bits 0 and 1")
     if np.any(u[..., code.flags == 0] != 0):
         raise ValueError("nonzero value at a frozen index")
     return polar_transform(u)
@@ -101,7 +103,7 @@ def _llr_batch(channel_llrs, N):
     return alpha
 
 
-def sc_decode_batch(channel_llrs, code, minsum=False):
+def sc_decode_batch(channel_llrs, code, minsum=True):
     """SC-decode a (B, N) batch of LLR frames.
 
     Plain SC is the fast SC walker run on the leaves-only plan.  Returns
@@ -113,7 +115,7 @@ def sc_decode_batch(channel_llrs, code, minsum=False):
     return polar_transform(x_hat), x_hat
 
 
-def sc_decode(channel_llrs, code, minsum=False):
+def sc_decode(channel_llrs, code, minsum=True):
     """SC-decode one frame; returns (u_hat, x_hat)."""
     u_hat, x_hat = sc_decode_batch(np.asarray(channel_llrs)[None, :], code, minsum)
     return u_hat[0], x_hat[0]

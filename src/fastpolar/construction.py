@@ -143,12 +143,19 @@ def save_descriptor(code, path):
         fh.write("\n")
 
 
+def _integer(value, name):
+    # JSON numbers: 4.7 must not load as 4, nor true as 1
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def load_descriptor(path):
     with open(path) as fh:
         desc = json.load(fh)
-    n = int(desc["n"])
+    n = _integer(desc["n"], "n")
     N = 1 << n
-    frozen = sorted(int(i) for i in desc["frozen_indices"])
+    frozen = sorted(_integer(i, "a frozen index") for i in desc["frozen_indices"])
     repeated = sorted({a for a, b in zip(frozen, frozen[1:]) if a == b})
     if repeated:
         raise ValueError(f"frozen_indices repeats {repeated}")
@@ -157,6 +164,6 @@ def load_descriptor(path):
     flags = np.ones(N, dtype=np.uint8)
     flags[frozen] = 0
     K = N - len(frozen)
-    if "K" in desc and int(desc["K"]) != K:
+    if "K" in desc and _integer(desc["K"], "K") != K:
         raise ValueError("descriptor K inconsistent with frozen_indices")
     return PolarCode(n=n, K=K, flags=flags, design_sigma=float(desc.get("design_sigma", 0.5)))

@@ -45,7 +45,7 @@ def wagner_decode(alpha):
     return beta ^ flip
 
 
-def decode_grep_sc(alpha, plan, minsum=False):
+def decode_grep_sc(alpha, plan, minsum=True):
     """Decode a G-Rep node: fold, decode the Rate-C child, tile."""
     alpha = np.asarray(alpha, dtype=np.float64)
     p = plan.rate_c.stage

@@ -43,7 +43,7 @@ def _extend_serial(ps, alpha):
     or a map; the path set, its row order and the metrics are the same as if
     they had forked.  After a real fork the remaining columns are tested
     again.  Column LLRs are read through each path's source row at node
-    entry (``ps.lineage``), so ``alpha`` is never re-gathered; the decided
+    entry (``ps.realign``), so ``alpha`` is never re-gathered; the decided
     bits are traced back through the node's forks once, at node exit, where
     a no-op run keeps every row in place.
     """
@@ -54,7 +54,7 @@ def _extend_serial(ps, alpha):
     while i < size:
         settled = ps.settled()
         cols = slice(i, None) if settled else i  # a run test reads the rest
-        a = alpha[ps.rows, ps.lineage(gen), cols] if len(ps.maps) > gen else alpha[:, :, cols]
+        a = ps.realign(alpha[:, :, cols], gen)
         if settled:
             run = [*ps.noop_columns(a).tolist(), False].index(False)
             if run:

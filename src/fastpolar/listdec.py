@@ -34,7 +34,6 @@ class PathSet:
         self.pm = np.zeros((B, 1))
         self.maps = []
         self.rows = np.arange(B)[:, None]
-        self.tied = False  # metrics seen tied since the last penalize
 
     def lineage(self, gen):
         """Row indices mapping the current path set back to generation ``gen``.
@@ -74,16 +73,8 @@ class PathSet:
 
     def settled(self):
         """Whether a fork can leave the paths as they are: the list is full
-        and the metrics rise strictly across rows.  Once metrics tie, it says
-        False without looking until the next ``penalize``: forks mostly keep
-        a tie among hard candidates (an all-zero frame stays tied)."""
-        if self.P < self.L or self.tied:
-            return False
-        step = self.pm[:, 1:] - self.pm[:, :-1]
-        if not np.count_nonzero(step <= 0):
-            return True
-        self.tied = bool(np.count_nonzero(step == 0))
-        return False
+        and the metrics rise strictly across rows."""
+        return self.P == self.L and not np.count_nonzero(self.pm[:, 1:] <= self.pm[:, :-1])
 
     def noop_columns(self, a):
         """Per column of a (B, P, k) LLR block, whether its fork is a no-op.
@@ -97,10 +88,9 @@ class PathSet:
 
     def penalize(self, pen):
         self.pm = self.pm + pen
-        self.tied = False
 
 
-def scl_decode_paths_batch(channel_llrs, code, L, minsum=False):
+def scl_decode_paths_batch(channel_llrs, code, L, minsum=True):
     """Run batched SCL and return the full surviving path sets.
 
     Plain SCL is the fast SCL walker run on the leaves-only plan.  Returns
@@ -129,13 +119,13 @@ def select_output(u, pm, code, crc=None):
     return sel, pm[np.arange(B), best]
 
 
-def scl_decode_batch(channel_llrs, code, L, crc=None, minsum=False):
+def scl_decode_batch(channel_llrs, code, L, crc=None, minsum=True):
     """Batched SCL decode; returns (u_hat (B, N), pm (B,))."""
     u, pm = scl_decode_paths_batch(channel_llrs, code, L, minsum)
     return select_output(u, pm, code, crc)
 
 
-def scl_decode(channel_llrs, code, L, crc=None, minsum=False):
+def scl_decode(channel_llrs, code, L, crc=None, minsum=True):
     """SCL-decode one frame; returns (u_hat, pm)."""
     u_hat, pm = scl_decode_batch(np.asarray(channel_llrs)[None, :], code, L, crc, minsum)
     return u_hat[0], float(pm[0])

@@ -9,10 +9,10 @@ cuts off at the first frame whose error brings the cumulative count to
 ``min_errors``, which keeps the counters batch-size invariant.
 """
 
-import io
 import json
+import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -74,11 +74,21 @@ class SimConfig:
     batch: int = 1024
 
     def __post_init__(self):
-        if self.decoder not in DECODERS:
+        if not isinstance(self.decoder, str) or self.decoder not in DECODERS:
             raise ValueError(f"decoder must be one of {tuple(DECODERS)}")
+        for f in fields(self):  # the int and bool fields, as declared
+            value = getattr(self, f.name)
+            if f.type is int and (type(value) is bool or not isinstance(value, numbers.Integral)):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
+            if f.type is bool and not isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{f.name} must be true or false, got {value!r}")
         for name in ("list_size", "min_errors", "max_frames", "batch"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        self.plan_options()  # only the node-set ladder's rungs are accepted
+        if not isinstance(self.snr_db, (list, tuple, np.ndarray)) or not all(
+                isinstance(s, numbers.Real) and not isinstance(s, bool) for s in self.snr_db):
+            raise ValueError(f"snr_db must be a list of numbers, got {self.snr_db!r}")
         snr = tuple(float(s) for s in self.snr_db)
         if not all(np.isfinite(snr)):
             raise ValueError(f"snr_db must be finite, got {snr}")
@@ -93,6 +103,9 @@ class SimConfig:
         crc_w = self.crc.width if self.crc else 0
         if crc_w >= self.code.K + (self.code.K == 0):
             raise ValueError("CRC wider than the unfrozen budget")
+        if self.snr_unit == "ebn0" and not self.payload_bits:
+            raise ValueError("snr_unit 'ebn0' needs payload bits, and this code has none "
+                             "(K = 0); give the SNR as Es/N0 with snr_unit 'esn0'")
         for s in snr:  # g-steps add up to N LLRs of about 2/sigma**2; 2x for the noise
             try:
                 sigma = self.sigma_for(s)
@@ -143,17 +156,10 @@ class SimResult:
     # wall-clock time stays off the CSV so reruns are byte-identical
     CSV_HEADER = "snr_db,frames,frame_errors,bit_errors,bler,bler_ci_lo,bler_ci_hi"
 
-    def to_csv(self, fh=None):
-        own = fh is None
-        if own:
-            fh = io.StringIO()
-        fh.write(self.CSV_HEADER + "\n")
-        for p in self.points:
-            fh.write(f"{p.snr_db:g},{p.frames},{p.frame_errors},{p.bit_errors},"
-                     f"{p.bler:.8e},{p.bler_ci_lo:.8e},{p.bler_ci_hi:.8e}\n")
-        if own:
-            return fh.getvalue()
-        return None
+    def to_csv(self):
+        rows = [f"{p.snr_db:g},{p.frames},{p.frame_errors},{p.bit_errors},"
+                f"{p.bler:.8e},{p.bler_ci_lo:.8e},{p.bler_ci_hi:.8e}" for p in self.points]
+        return "\n".join([self.CSV_HEADER, *rows]) + "\n"
 
 
 def wilson_interval(k, n, z=1.959964):
@@ -241,6 +247,8 @@ def load_sim_config(path):
 
     with open(path) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict) or not isinstance(raw.get("code"), str):
+        raise ValueError("a simulation config is a JSON object with a 'code' descriptor path")
     code_path = raw.pop("code")
     if not os.path.isabs(code_path):
         code_path = os.path.join(os.path.dirname(os.path.abspath(path)), code_path)

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from fastpolar.classify import BASE_OPTIONS, PlanOptions, classify
+from fastpolar.classify import PlanOptions, classify
 from fastpolar.codec import polar_transform
 from fastpolar.construction import construct_code
 from fastpolar.crc import CRC8, CRC16
@@ -154,7 +154,7 @@ def test_criterion_4_wagner_is_ml():
 
 def test_criterion_5_hand_counts():
     code = construct_code(3, 4, 0.5)  # frozen {0,1,2,4}
-    base = classify(code, BASE_OPTIONS)
+    base = classify(code, PlanOptions())
     sc = cost_sc(base).total_steps
     scl = cost_scl(base).total_steps
     relaxed = classify(code, PlanOptions(True, True, 2))

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fastpolar.classify import (BASE_OPTIONS, PlanOptions, classify, leaves_only_plan,
-                                option_sweep, plan_stats)
+from fastpolar.classify import (PlanOptions, classify, leaves_only_plan, option_sweep,
+                                plan_stats)
 from fastpolar.construction import PolarCode, construct_code
 
 GEN = PlanOptions(enable_grep=True, enable_gpc=True)
+LADDER = [(opts.enable_grep, opts.enable_gpc, opts.max_af) for _, opts in option_sweep()]
 
 
 def make_code(flags):
@@ -43,7 +44,7 @@ def test_all_frozen_stats():
 
 def test_n8_base_plan_rep_spc():
     code = make_code([0, 0, 0, 1, 0, 1, 1, 1])  # frozen {0,1,2,4}
-    stats = plan_stats(classify(code, BASE_OPTIONS))
+    stats = plan_stats(classify(code, PlanOptions()))
     assert stats == {"split": 1, "rep": 1, "spc": 1}
 
 
@@ -94,7 +95,7 @@ def test_soundness_random_codes(seed):
     n = int(rng.integers(3, 9))
     flags = rng.integers(0, 2, 1 << n, dtype=np.uint8)
     code = make_code(flags)
-    for opts in (BASE_OPTIONS, GEN, PlanOptions(True, True, 3)):
+    for opts in (PlanOptions(), GEN, PlanOptions(True, True, 3)):
         plan = classify(code, opts)
         for leaf in all_special_leaves(plan):
             assert _leaf_sound(leaf, code.flags), (leaf.kind, leaf.offset)
@@ -148,7 +149,7 @@ def test_option_sweep_labels():
 
 def test_rep_subsumed_by_grep():
     code = make_code([0, 0, 0, 0, 0, 0, 0, 1])
-    base = classify(code, BASE_OPTIONS)
+    base = classify(code, PlanOptions())
     gen = classify(code, GEN)
     assert base.kind == "rep"
     assert gen.kind == "grep"
@@ -158,7 +159,7 @@ def test_spc_is_np1_gpc():
     from fastpolar.fastsc import decode_gpc_sc, wagner_decode
 
     code = make_code([0, 1, 1, 1, 1, 1, 1, 1])
-    assert classify(code, BASE_OPTIONS).kind == "spc"
+    assert classify(code, PlanOptions()).kind == "spc"
     plan = classify(code, GEN)
     assert plan.kind == "gpc" and plan.np_sub == 1
     rng = np.random.default_rng(1)
@@ -169,6 +170,12 @@ def test_spc_is_np1_gpc():
 def test_invalid_max_af():
     with pytest.raises(ValueError):
         PlanOptions(max_af=4)
+    off = [(g, p, af) for g in (False, True) for p in (False, True) for af in range(4)
+           if (g, p, af) not in LADDER]
+    assert len(off) == 10
+    for combo in off:
+        with pytest.raises(ValueError, match="needs enable_"):
+            PlanOptions(*combo)
 
 
 @given(st.integers(2, 6), st.integers(0, 10 ** 6))
@@ -206,8 +213,12 @@ def test_leaves_only_plan():
        st.integers(0, 3))
 @settings(max_examples=300, deadline=None)
 def test_parity_nodes_under_every_option_combination(n, seed, grep, gpc, max_af):
-    # off-ladder combinations such as PlanOptions(max_af=2) reach classify
-    # through SimConfig, so all 2 x 2 x 4 of them are covered
+    # only the six rungs of the node-set ladder are accepted; the other ten
+    # of the 2 x 2 x 4 combinations raise when the options are made
+    if (grep, gpc, max_af) not in LADDER:
+        with pytest.raises(ValueError, match="needs enable_"):
+            PlanOptions(grep, gpc, max_af)
+        return
     rng = np.random.default_rng(seed)
     code = make_code(rng.random(1 << n) < rng.uniform(0.1, 0.95))
     opts = PlanOptions(grep, gpc, max_af)

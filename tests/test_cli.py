@@ -89,17 +89,28 @@ def test_decode_matches_library(code_file, monkeypatch, capsys, algo, nodes):
 
 
 def _bad_inputs(tmp_path):
-    """Seven inputs that are not usable, each as (argv, stdin, message)."""
+    """Inputs that are not usable, each as (argv, stdin, message)."""
     code = construct_code(4, 8, 0.5)
     save_descriptor(code, tmp_path / "k8.json")
+    save_descriptor(construct_code(4, 0, 0.5), tmp_path / "k0.json")
     desc = json.loads((tmp_path / "k8.json").read_text())
     desc["frozen_indices"][1] = desc["frozen_indices"][0]
     (tmp_path / "dup.json").write_text(json.dumps(desc))
-    (tmp_path / "sim.json").write_text(json.dumps({"code": "k8.json", "crc": "crc16"}))
     k8 = ["--code", str(tmp_path / "k8.json")]
     frozen = np.zeros(16, np.uint8)
     frozen[code.frozen_indices[0]] = 1
     llrs = " ".join(["1.5"] * 16)
+
+    def simulate(name, **cfg):
+        (tmp_path / f"{name}.json").write_text(json.dumps({"code": "k8.json", **cfg}))
+        return ["simulate", "--config", str(tmp_path / f"{name}.json"),
+                "--out", str(tmp_path / "out.csv")]
+
+    def encode_with(value):  # at an information index
+        u = ["0"] * 16
+        u[code.info_indices[0]] = value
+        return ["encode", *k8], " ".join(u), "only the bits 0 and 1"
+
     return {
         "crc-wider-than-K": (["decode", *k8, "--algo", "scl", "--crc", "crc16"], llrs,
                              "shorter than the CRC width"),
@@ -107,19 +118,30 @@ def _bad_inputs(tmp_path):
         "short-frame": (["decode", *k8], "1 2 3", "expected 16 LLRs per frame, got 3"),
         "repeated-frozen-index": (["decode", "--code", str(tmp_path / "dup.json")], llrs,
                                   "frozen_indices repeats"),
-        "sim-crc-wider-than-K": (["simulate", "--config", str(tmp_path / "sim.json"),
-                                  "--out", str(tmp_path / "out.csv")], "",
+        "sim-crc-wider-than-K": (simulate("sim", crc="crc16"), "",
                                  "CRC wider than the unfrozen budget"),
         "encode-frozen-one": (["encode", *k8], " ".join(map(str, frozen)),
                               "nonzero value at a frozen index"),
         "missing-code-file": (["classify", "--code", str(tmp_path / "missing.json")], "",
                               "No such file or directory"),
+        "sim-list-size-2.5": (simulate("ls", list_size=2.5), "", "list_size must be an integer"),
+        "sim-scalar-snr": (simulate("snr", snr_db=2.0), "", "snr_db must be a list of numbers"),
+        "sim-batch-string": (simulate("batch", batch="16"), "", "batch must be an integer"),
+        "sim-grep-no": (simulate("grep", enable_grep="no"), "",
+                        "enable_grep must be true or false"),
+        "sim-no-code-path": (simulate("nocode", code=None), "", "a 'code' descriptor path"),
+        "sim-ebn0-without-payload": (simulate("ebn0", code="k0.json"), "",
+                                     "'ebn0' needs payload bits"),
+        **{f"encode-{v}": encode_with(v) for v in ("2", "-1", "256", "0.5")},
     }
 
 
 @pytest.mark.parametrize("case", ["crc-wider-than-K", "nan-llrs", "short-frame",
                                   "repeated-frozen-index", "sim-crc-wider-than-K",
-                                  "encode-frozen-one", "missing-code-file"])
+                                  "encode-frozen-one", "missing-code-file",
+                                  "sim-list-size-2.5", "sim-scalar-snr", "sim-batch-string",
+                                  "sim-grep-no", "sim-no-code-path", "sim-ebn0-without-payload",
+                                  "encode-2", "encode--1", "encode-256", "encode-0.5"])
 def test_bad_inputs_are_usage_errors(tmp_path, monkeypatch, capsys, case):
     argv, stdin, message = _bad_inputs(tmp_path)[case]
     feed(monkeypatch, stdin)

@@ -31,6 +31,18 @@ def test_encode_rejects_nonzero_frozen():
         encode(u, code)
 
 
+@pytest.mark.parametrize("bad", [2, -1, 256, 0.5])
+def test_encode_rejects_values_other_than_bits(bad):
+    # a uint8 cast wraps 256 to 0 and -1 to 255, and bit packing reads 2 as 1
+    code = construct_code(4, 8, 0.5)
+    u = np.zeros(16)
+    u[code.info_indices[0]] = bad
+    with pytest.raises(ValueError, match="only the bits 0 and 1"):
+        encode(u, code)
+    with pytest.raises(ValueError, match="only the bits 0 and 1"):
+        encode(np.stack([np.zeros(16), u]), code)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_transform_matches_kronecker_matrix(n):
     N = 1 << n
@@ -108,13 +120,13 @@ def test_combine_examples():
 def test_sc_all_frozen_decodes_zero():
     code = construct_code(4, 0, 0.5)
     rng = np.random.default_rng(0)
-    u_hat, x_hat = sc_decode(rng.normal(size=16), code)
+    u_hat, x_hat = sc_decode(rng.normal(size=16), code, minsum=False)
     assert not u_hat.any() and not x_hat.any()
 
 
 def test_sc_hand_trace_two_bits():
     code = PolarCode(1, 2, np.array([1, 1], np.uint8), 0.5)
-    u_hat, _ = sc_decode(np.array([-1.0, 3.0]), code)
+    u_hat, _ = sc_decode(np.array([-1.0, 3.0]), code, minsum=False)
     assert u_hat.tolist() == [1, 0]
 
 
@@ -125,7 +137,7 @@ def test_sc_noiseless_round_trip(n, K):
     u = np.zeros((1000, code.N), np.uint8)
     u[:, code.info_indices] = rng.integers(0, 2, (1000, K), dtype=np.uint8)
     llrs = (1.0 - 2.0 * polar_transform(u)) * 4.0
-    u_hat, x_hat = sc_decode_batch(llrs, code)
+    u_hat, x_hat = sc_decode_batch(llrs, code, minsum=False)
     assert np.array_equal(u_hat, u)
     assert np.array_equal(x_hat, polar_transform(u_hat))
 
@@ -133,7 +145,7 @@ def test_sc_noiseless_round_trip(n, K):
 def test_sc_reencoding_consistency():
     code = construct_code(6, 40, 0.5)
     rng = np.random.default_rng(3)
-    u_hat, x_hat = sc_decode_batch(rng.normal(size=(200, 64)), code)
+    u_hat, x_hat = sc_decode_batch(rng.normal(size=(200, 64)), code, minsum=False)
     assert np.array_equal(x_hat, polar_transform(u_hat))
 
 

@@ -115,6 +115,23 @@ def test_descriptor_rejects_repeated_frozen_indices(tmp_path, with_k):
         load_descriptor(path)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("n", 4.7), ("n", 3.0), ("n", True), ("n", "3"),
+    ("K", 4.0), ("K", True), ("frozen", 7.5), ("frozen", False),
+])
+def test_descriptor_rejects_non_integers(tmp_path, field, value):
+    # 4.7 used to load as n=4 and a frozen index 7.5 as 7
+    desc = {"n": 3, "K": 4, "frozen_indices": [0, 1, 2, 4]}
+    if field == "frozen":
+        desc["frozen_indices"][-1] = value
+    else:
+        desc[field] = value
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(desc))
+    with pytest.raises(ValueError, match="must be an integer"):
+        load_descriptor(path)
+
+
 def test_invalid_parameters():
     with pytest.raises(ValueError):
         construct_code(3, 9, 0.5)

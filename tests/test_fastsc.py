@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fastpolar.classify import PlanOptions, classify, option_sweep
-from fastpolar.codec import encode, g_step
+from fastpolar.codec import encode, g_step, sc_decode
 from fastpolar.construction import PolarCode, construct_code
 from fastpolar.fastsc import (decode_gpc_sc, decode_grep_sc, fast_ssc_decode, fast_ssc_decode_batch,
                               grep_fold, wagner_decode)
@@ -76,14 +76,15 @@ def test_wagner_ml_random(length):
 
 def test_grep_rep_ml():
     plan = classify(make_code([0, 0, 0, 1]), GEN)
-    beta = decode_grep_sc(np.array([1.0, -2.0, 3.0, -4.0]), plan)
+    beta = decode_grep_sc(np.array([1.0, -2.0, 3.0, -4.0]), plan, minsum=False)
     assert beta.tolist() == [1, 1, 1, 1]
 
 
 def test_grep_all_positive_zeros():
     plan = classify(make_code([0] * 12 + [0, 0, 1, 1]), GEN)
     assert plan.kind == "grep"
-    assert not decode_grep_sc(np.abs(np.random.default_rng(0).normal(size=16)), plan).any()
+    assert not decode_grep_sc(np.abs(np.random.default_rng(0).normal(size=16)), plan,
+                             minsum=False).any()
 
 
 def test_gpc_example():
@@ -144,6 +145,19 @@ def test_fast_ssc_equals_sc_random_codes(n, K):
     for opts in (PlanOptions(), PlanOptions(True), GEN):
         u_f, _ = fast_ssc_decode_batch(llrs, classify(code, opts), minsum=True)
         assert np.array_equal(u_sc, u_f)
+
+
+def test_default_f_rule_matches_sc():
+    # the bit-exact pair must hold with default arguments: both default to min-sum
+    code = construct_code(8, 128, 0.5)
+    plan = classify(code, GEN)
+    rng = np.random.default_rng(31)
+    for _ in range(100):
+        u = np.zeros(code.N, np.uint8)
+        u[code.info_indices] = rng.integers(0, 2, code.K)
+        llrs = 2.0 * ((1.0 - 2.0 * encode(u, code)) + rng.normal(size=code.N))
+        assert np.count_nonzero(llrs) == code.N
+        assert np.array_equal(fast_ssc_decode(llrs, plan)[0], sc_decode(llrs, code)[0])
 
 
 @given(st.integers(0, 7), st.integers(0, 10 ** 6))

@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fastpolar.classify import PlanOptions, classify, leaves_only_plan, option_sweep
-from fastpolar.codec import polar_transform
+from fastpolar.codec import encode, polar_transform
 from fastpolar.construction import PolarCode, construct_code
 from fastpolar.fastsc import fast_ssc_decode_batch
 from fastpolar.fastscl import fast_scl_decode, fast_scl_decode_batch, fast_scl_decode_paths_batch
-from fastpolar.listdec import PathSet, select_output
+from fastpolar.listdec import PathSet, scl_decode, select_output
 from helpers import canon_paths, path_metric_of, scl_descent_paths_batch
 
 GEN = PlanOptions(enable_grep=True, enable_gpc=True)
@@ -224,6 +224,24 @@ def test_crc_aided_selection():
     u_fast, _ = fast_scl_decode_batch(llrs, code, plan, 8, crc=CRC8, minsum=True)
     u_ref, _ = select_output(*scl_descent_paths_batch(llrs, code, 8, minsum=True), code, CRC8)
     assert np.array_equal(u_fast, u_ref)
+
+
+def test_default_f_rule_matches_scl():
+    # scl and ssclspc keep the same path sets with default arguments: both
+    # default to min-sum
+    from fastpolar.crc import CRC8
+
+    code = construct_code(8, 128, 0.5)
+    plan = classify(code, GEN)
+    rng = np.random.default_rng(37)
+    for _ in range(30):
+        u = np.zeros(code.N, np.uint8)
+        u[code.info_indices] = rng.integers(0, 2, code.K)
+        llrs = 2.0 * ((1.0 - 2.0 * encode(u, code)) + rng.normal(size=code.N))
+        assert np.count_nonzero(llrs) == code.N
+        u_fast, pm_fast = fast_scl_decode(llrs, code, plan, 8, CRC8)
+        u_ref, pm_ref = scl_decode(llrs, code, 8, CRC8)
+        assert np.array_equal(u_fast, u_ref) and pm_fast == pytest.approx(pm_ref, rel=1e-9)
 
 
 def test_invalid_list_size():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fastpolar import fastsc, fastscl, latency
-from fastpolar.classify import BASE_OPTIONS, PlanOptions, classify
+from fastpolar.classify import PlanOptions, classify
 from fastpolar.construction import PolarCode, construct_code
 from fastpolar.latency import CostReport, cost_sc, cost_scl, latency_table
 
@@ -15,16 +15,16 @@ def make_code(flags):
 
 
 def test_single_leaf_prices():
-    assert cost_sc(classify(make_code([0, 0]), BASE_OPTIONS)).total_steps == 1
-    assert cost_sc(classify(make_code([1, 1]), BASE_OPTIONS)).total_steps == 1
-    assert cost_sc(classify(make_code([0, 1]), BASE_OPTIONS)).total_steps == 2
-    assert cost_sc(classify(make_code([0, 1, 1, 1]), BASE_OPTIONS)).total_steps == 3
+    assert cost_sc(classify(make_code([0, 0]), PlanOptions())).total_steps == 1
+    assert cost_sc(classify(make_code([1, 1]), PlanOptions())).total_steps == 1
+    assert cost_sc(classify(make_code([0, 1]), PlanOptions())).total_steps == 2
+    assert cost_sc(classify(make_code([0, 1, 1, 1]), PlanOptions())).total_steps == 3
 
 
 def test_n8_hand_counts():
     # frozen {0,1,2,4}: split(Rep(4), SPC(4)) under the classical node set
     code = make_code([0, 0, 0, 1, 0, 1, 1, 1])
-    plan = classify(code, BASE_OPTIONS)
+    plan = classify(code, PlanOptions())
     assert cost_sc(plan).total_steps == 2 + 2 + 3
     # SCL: split 2, Rep 1+4, SPC 2*4-1
     assert cost_scl(plan).total_steps == 2 + 5 + 7
@@ -32,9 +32,9 @@ def test_n8_hand_counts():
 
 def test_scl_rate1_and_rep_scale_with_size():
     for t in (2, 3, 4):
-        r1 = classify(make_code([1] * (1 << t)), BASE_OPTIONS)
+        r1 = classify(make_code([1] * (1 << t)), PlanOptions())
         assert cost_scl(r1).total_steps == 2 * (1 << t)
-        rep = classify(make_code([0] * ((1 << t) - 1) + [1]), BASE_OPTIONS)
+        rep = classify(make_code([0] * ((1 << t) - 1) + [1]), PlanOptions())
         assert cost_scl(rep).total_steps == 1 + (1 << t)
 
 
@@ -58,7 +58,7 @@ def test_gpc_scl_formula():
 
 def test_report_total_matches_breakdown():
     code = construct_code(7, 64, 0.5)
-    for opts in (BASE_OPTIONS, GEN, PlanOptions(True, True, 2)):
+    for opts in (PlanOptions(), GEN, PlanOptions(True, True, 2)):
         for rep in (cost_sc(classify(code, opts)), cost_scl(classify(code, opts))):
             assert rep.total_steps == sum(rep.per_node.values())
     with pytest.raises(ValueError):
@@ -90,5 +90,5 @@ def test_node_kind_tables_agree():
     assert set(fastsc._NODE_DECODERS) == kinds
     assert set(fastscl._NODE_EXTENDERS) == kinds
     code = construct_code(8, 100, 0.5)
-    for opts in (BASE_OPTIONS, GEN, PlanOptions(True, True, 2)):
+    for opts in (PlanOptions(), GEN, PlanOptions(True, True, 2)):
         assert {node.kind for node in classify(code, opts).walk()} <= kinds

@@ -62,7 +62,7 @@ def test_noiseless_crc_aided():
     u = np.zeros((1000, 64), np.uint8)
     u[:, code.info_indices] = np.stack([crc_attach(p, CRC8) for p in payload])
     llrs = (1.0 - 2.0 * polar_transform(u)) * 4.0
-    u_hat, _ = scl_decode_batch(llrs, code, 4, crc=CRC8)
+    u_hat, _ = scl_decode_batch(llrs, code, 4, crc=CRC8, minsum=False)
     assert np.array_equal(u_hat, u)
 
 
@@ -122,8 +122,8 @@ def test_crc_selection_prefers_passing_path():
     for trial in range(400):
         noise = rng.normal(size=32)
         llrs = (1.0 - 2.0 * x) * 1.2 + noise
-        u_plain, _ = scl_decode_batch(llrs[None], code, 8)
-        u_crc, _ = scl_decode_batch(llrs[None], code, 8, crc=CRC8)
+        u_plain, _ = scl_decode_batch(llrs[None], code, 8, minsum=False)
+        u_crc, _ = scl_decode_batch(llrs[None], code, 8, crc=CRC8, minsum=False)
         if not np.array_equal(u_plain[0], u) and np.array_equal(u_crc[0], u):
             found = True
             break
@@ -220,13 +220,14 @@ def test_noop_predicate_examples():
     # only ties it; column 2's 0 + 0 is below it
     a = np.array([[5.0, 3.0, 0.0], [-4.0, 9.0, 2.0], [2.0, -7.0, 1.0]])[None]
     assert ps.noop_columns(a).tolist() == [True, False, False]
-    # tied metrics: no fork is tested again until the next penalize
+    # tied metrics are not settled; there is no latch, so the answer
+    # follows the metrics as soon as they change, with or without a penalize
     ps = paths(0.0, 1.0, 1.0)
-    assert not ps.settled() and ps.tied
+    assert not ps.settled() and not hasattr(ps, "tied")
     ps.pm = np.array([[0.0, 1.0, 3.0]])
-    assert not ps.settled()
-    ps.penalize(np.zeros((1, 3)))
     assert ps.settled()
+    ps.penalize(np.array([[0.0, 2.0, 0.0]]))
+    assert not ps.settled()
 
 
 @given(st.integers(0, 10 ** 6), st.integers(1, 3), st.sampled_from([1, 2, 3, 4, 8]),

@@ -127,6 +127,35 @@ def test_config_validation():
             SimConfig(code=code, snr_db=(1.0, snr) if snr > 1 else (snr, 1.0))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("list_size", 2.5), ("batch", "16"), ("seed", 1.0), ("max_af", True), ("min_errors", None),
+    ("max_frames", 1e6), ("enable_grep", "no"), ("enable_gpc", 1), ("minsum", None),
+    ("snr_db", 2.0), ("snr_db", "2.0"), ("snr_db", [1.0, "2.0"]), ("snr_db", [True]),
+])
+def test_config_rejects_wrong_types(field, value):
+    # each used to raise a TypeError later, or ran with a truthy string as True
+    with pytest.raises(ValueError, match=field):
+        SimConfig(code=construct_code(4, 8, 0.5), **{field: value})
+
+
+def test_config_accepts_only_ladder_node_options():
+    # checked when the config is made, not first inside run_bler
+    code = construct_code(4, 8, 0.5)
+    for kw in ({"max_af": 7}, {"max_af": 2}, {"enable_gpc": True},
+               {"enable_gpc": True, "max_af": 1}, {"enable_grep": True, "max_af": 3}):
+        with pytest.raises(ValueError, match="max_af|needs enable_"):
+            SimConfig(code=code, **kw)
+    SimConfig(code=code, enable_grep=True, enable_gpc=True, max_af=3)
+
+
+def test_ebn0_needs_payload_bits():
+    code = construct_code(4, 0, 0.5)
+    with pytest.raises(ValueError, match="'ebn0' needs payload bits.*'esn0'"):
+        SimConfig(code=code)
+    cfg = SimConfig(code=code, snr_unit="esn0", max_frames=8, batch=4)
+    assert run_bler(cfg).points[0].frame_errors == 0
+
+
 @pytest.mark.parametrize("n,K,bad,good", [(4, 8, 3068.0, 3060.0), (8, 128, 3056.0, 3050.0)])
 def test_snr_bound_keeps_fg_updates_finite(n, K, bad, good):
     # g-steps add up to N LLRs of about 2/sigma**2: a bound that depends on N
