@@ -153,6 +153,13 @@ def _integer(value, name):
 def load_descriptor(path):
     with open(path) as fh:
         desc = json.load(fh)
+    if not isinstance(desc, dict) or not {"n", "frozen_indices"} <= desc.keys():
+        raise ValueError("a code descriptor is a JSON object with 'n' and 'frozen_indices'")
+    if not isinstance(desc["frozen_indices"], list):
+        raise ValueError(f"frozen_indices must be a list, got {desc['frozen_indices']!r}")
+    sigma = desc.get("design_sigma", 0.5)
+    if isinstance(sigma, bool) or not isinstance(sigma, (int, float)):
+        raise ValueError(f"design_sigma must be a number, got {sigma!r}")
     n = _integer(desc["n"], "n")
     N = 1 << n
     frozen = sorted(_integer(i, "a frozen index") for i in desc["frozen_indices"])
@@ -166,4 +173,4 @@ def load_descriptor(path):
     K = N - len(frozen)
     if "K" in desc and _integer(desc["K"], "K") != K:
         raise ValueError("descriptor K inconsistent with frozen_indices")
-    return PolarCode(n=n, K=K, flags=flags, design_sigma=float(desc.get("design_sigma", 0.5)))
+    return PolarCode(n=n, K=K, flags=flags, design_sigma=float(sigma))

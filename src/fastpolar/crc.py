@@ -5,13 +5,25 @@ matrix form of the same map attaches and checks CRCs over frame batches
 (a CRC with a fixed init value is affine in the message bits).
 """
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
 
 __all__ = ["CrcSpec", "CRC8", "CRC16", "CRC_NAMES", "crc_by_name", "crc_bits", "crc_attach",
            "crc_check", "crc_check_batch"]
+
+
+def check_field_types(obj):
+    """Reject a dataclass field declared ``int`` or ``bool`` that holds
+    another type (a bool is not an integer here)."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type is int and (type(value) is bool or not isinstance(value, numbers.Integral)):
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        if f.type is bool and not isinstance(value, (bool, np.bool_)):
+            raise ValueError(f"{f.name} must be true or false, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -21,6 +33,15 @@ class CrcSpec:
     init: int = 0
     reflect: bool = False
     final_xor: int = 0
+
+    def __post_init__(self):
+        check_field_types(self)
+        if self.width < 1:
+            raise ValueError(f"CRC width must be >= 1, got {self.width}")
+        for name in ("polynomial", "init", "final_xor"):
+            value = getattr(self, name)
+            if not 0 <= value < 1 << int(self.width):
+                raise ValueError(f"CRC {name} must be in [0, 2**width), got {value}")
 
 
 CRC8 = CrcSpec(width=8, polynomial=0x07)
@@ -63,11 +84,9 @@ def crc_attach(payload, spec):
 
 
 def crc_check(bits, spec):
+    """Whether a 1-D bit vector ends in the CRC of the bits before it."""
     bits = np.asarray(bits, dtype=np.uint8)
-    if bits.size < spec.width:
-        return False
-    expected = crc_bits(bits[:bits.size - spec.width], spec)
-    return bool(np.array_equal(bits[bits.size - spec.width:], expected))
+    return bits.size >= spec.width and bool(crc_check_batch(bits, spec))
 
 
 @lru_cache(maxsize=32)
@@ -92,7 +111,7 @@ def _crc_batch(payload, spec):
 
 
 def crc_check_batch(bits, spec):
-    """Vectorized crc_check over the leading axes of a (..., n) bit array."""
+    """Whether each bit vector along the last axis of ``bits`` ends in its CRC."""
     bits = np.asarray(bits, dtype=np.uint8)
     n = bits.shape[-1]
     if n < spec.width:

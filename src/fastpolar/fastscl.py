@@ -32,52 +32,46 @@ def _relu_pos(a):
 
 def _extend_rate0(ps, alpha):
     ps.penalize(_relu_neg(alpha).sum(axis=-1))
-    return np.zeros(alpha.shape, dtype=np.uint8)
+    return np.zeros(alpha.shape, dtype=np.uint8), None
 
 
 def _extend_serial(ps, alpha):
     """Bit-serial Rate-1 extension: one fork per column that can change paths.
 
     While the path set is ``settled``, the leading columns whose forks are
-    no-ops (``ps.noop_columns``) are decided by hard decision without a fork
-    or a map; the path set, its row order and the metrics are the same as if
+    no-ops (``ps.noop_columns``) are decided by hard decision without a
+    fork; the path set, its row order and the metrics are the same as if
     they had forked.  After a real fork the remaining columns are tested
-    again.  Column LLRs are read through each path's source row at node
-    entry (``ps.realign``), so ``alpha`` is never re-gathered; the decided
-    bits are traced back through the node's forks once, at node exit, where
-    a no-op run keeps every row in place.
+    again.  Column LLRs are read through each path's row at node entry, so
+    ``alpha`` is never re-gathered; the decided bits follow every fork.
     """
     size = alpha.shape[-1]
-    gen = len(ps.maps)
-    steps = []  # (column or no-op run, fork src or None, bits there)
+    beta = np.empty((ps.B, ps.P, size), dtype=np.uint8)
+    anc = None
     i = 0
     while i < size:
         settled = ps.settled()
         cols = slice(i, None) if settled else i  # a run test reads the rest
-        a = ps.realign(alpha[:, :, cols], gen)
+        a = ps.realign(alpha[:, :, cols], anc)
         if settled:
             run = [*ps.noop_columns(a).tolist(), False].index(False)
             if run:
-                steps.append((slice(i, i + run), None, a[:, :, :run] < 0))
+                beta[:, :, i:i + run] = a[:, :, :run] < 0
                 i += run
                 if i == size:
                     break
             a = a[:, :, run]
         src, bits = ps.fork(_relu_neg(a), _relu_pos(a))
-        steps.append((i, src, bits))
+        beta = beta[ps.rows, src]
+        beta[:, :, i] = bits
+        anc = ps.realign(anc, src)
         i += 1
-    beta = np.empty((ps.B, ps.P, size), dtype=np.uint8)
-    row = None  # each path's row after the step being traced; None: unmoved
-    for cols, src, bits in reversed(steps):
-        beta[:, :, cols] = bits if row is None else bits[ps.rows, row]
-        if src is not None:
-            row = src if row is None else src[ps.rows, row]
-    return beta
+    return beta, anc
 
 
 def _extend_rep(ps, alpha):
-    _, bits = ps.fork(_relu_neg(alpha).sum(axis=-1), _relu_pos(alpha).sum(axis=-1))
-    return np.repeat(bits[:, :, None], alpha.shape[-1], axis=2)
+    src, bits = ps.fork(_relu_neg(alpha).sum(axis=-1), _relu_pos(alpha).sum(axis=-1))
+    return np.repeat(bits[:, :, None], alpha.shape[-1], axis=2), src
 
 
 def _extend_grep(ps, alpha, plan, minsum):
@@ -89,8 +83,8 @@ def _extend_grep(ps, alpha, plan, minsum):
         half = alpha.shape[-1] // 2
         ps.penalize(_relu_neg(f_step(alpha, minsum)).sum(axis=-1))
         alpha = alpha[..., half:] + alpha[..., :half]
-    beta_rc = _extend_node(ps, alpha, plan.rate_c, minsum)
-    return np.concatenate([beta_rc] * (size >> p), axis=-1)
+    beta_rc, anc = _extend_node(ps, alpha, plan.rate_c, minsum)
+    return np.concatenate([beta_rc] * (size >> p), axis=-1), anc
 
 
 @lru_cache(maxsize=None)
@@ -109,17 +103,14 @@ def _parity_shape(stage, np_sub):
 
 
 def _extend_split(ps, alpha, plan, minsum):
-    gen = len(ps.maps)
-    bl = _extend_node(ps, f_step(alpha, minsum), plan.left, minsum)
-    alpha = ps.realign(alpha, gen)
-    gen_r = len(ps.maps)
-    br = _extend_node(ps, g_step(alpha, bl), plan.right, minsum)
-    bl = ps.realign(bl, gen_r)
-    return combine(bl, br)
+    bl, anc_l = _extend_node(ps, f_step(alpha, minsum), plan.left, minsum)
+    br, anc_r = _extend_node(ps, g_step(ps.realign(alpha, anc_l), bl), plan.right, minsum)
+    return combine(ps.realign(bl, anc_r), br), ps.realign(anc_l, anc_r)
 
 
 # node kind -> extension(ps, alpha, plan, minsum) returning the (B, P, size)
-# partial sums of the surviving paths
+# partial sums of the surviving paths and their ancestry: each survivor's
+# row at node entry, or None when no row moved
 _NODE_EXTENDERS = {
     "rate0": lambda ps, alpha, plan, minsum: _extend_rate0(ps, alpha),
     "rate1": lambda ps, alpha, plan, minsum: _extend_serial(ps, alpha),
@@ -140,7 +131,7 @@ def _decode_paths(alpha, plan, L, minsum):
     if L < 1:
         raise ValueError("list size must be >= 1")
     ps = PathSet(alpha.shape[0], L)
-    beta = _extend_node(ps, alpha[:, None, :], plan, minsum)
+    beta, _ = _extend_node(ps, alpha[:, None, :], plan, minsum)
     order = np.argsort(ps.pm, axis=1, kind="stable")
     return polar_transform(beta[ps.rows, order]), ps.pm[ps.rows, order]
 

@@ -20,11 +20,11 @@ __all__ = ["scl_decode", "scl_decode_batch", "scl_decode_paths_batch", "select_o
 class PathSet:
     """Alive decoding paths for a batch of frames.
 
-    ``maps`` records, per prune event, which pre-event row each surviving
-    row came from; recursion frames use it to realign soft values computed
-    before the event (lazy row remapping instead of eager copies).  A
-    ``realign`` replaces the maps it composed by their composition, so an
-    enclosing frame's later ``realign`` composes each map only once.
+    A fork copies no path state: it returns each survivor's parent row.  A
+    node extension returns its survivors' ancestry, their rows when the node
+    was entered (None when no row moved), and a recursion frame gathers what
+    it kept from before a child through that child's ancestry only when it
+    resumes (``realign``).
     """
 
     def __init__(self, B, L):
@@ -32,34 +32,26 @@ class PathSet:
         self.L = L
         self.P = 1
         self.pm = np.zeros((B, 1))
-        self.maps = []
         self.rows = np.arange(B)[:, None]
 
-    def lineage(self, gen):
-        """Row indices mapping the current path set back to generation ``gen``.
+    def realign(self, arr, anc):
+        """Gather the rows of a (B, P_then, ...) array through ancestry ``anc``.
 
-        The composed maps ``maps[gen:]`` are replaced by the result; every
-        open recursion frame started at a generation <= ``gen``, so their
-        generations still index the same events.
+        None on either side is the identity, so ``realign(first, then)`` of
+        two ancestries composes them.
         """
-        idx = self.maps[-1]
-        for m in reversed(self.maps[gen:-1]):
-            idx = m[self.rows, idx]
-        self.maps[gen:] = [idx]
-        return idx
-
-    def realign(self, arr, gen):
-        """Gather rows of a (B, P_gen, ...) array for the current path set."""
-        if gen == len(self.maps):
+        if anc is None:
             return arr
-        return arr[self.rows, self.lineage(gen)]
+        if arr is None:
+            return anc
+        return arr[self.rows, anc]
 
     def fork(self, pen0, pen1):
         """Split every path on a binary decision and prune to L.
 
         pen0/pen1: (B, P) metric penalties for deciding 0/1.  Returns
         (src, bits): for each surviving row, its pre-fork parent row and
-        the decided bit.
+        the decided bit; ``src`` is the fork's ancestry.
         """
         cand = np.concatenate([self.pm + pen0, self.pm + pen1], axis=1)
         newP = min(2 * self.P, self.L)
@@ -67,7 +59,6 @@ class PathSet:
         src = order % self.P
         bits = (order >= self.P).astype(np.uint8)
         self.pm = cand[self.rows, order]
-        self.maps.append(src)
         self.P = newP
         return src, bits
 

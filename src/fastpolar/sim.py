@@ -19,7 +19,7 @@ import numpy as np
 from .classify import PlanOptions, classify
 from .codec import encode, sc_decode_batch
 from .construction import PolarCode, load_descriptor
-from .crc import CRC_NAMES, CrcSpec, crc_attach, crc_by_name
+from .crc import CRC_NAMES, CrcSpec, check_field_types, crc_attach, crc_by_name
 from .fastsc import fast_ssc_decode_batch
 from .fastscl import fast_scl_decode_batch
 from .listdec import scl_decode_batch
@@ -76,12 +76,7 @@ class SimConfig:
     def __post_init__(self):
         if not isinstance(self.decoder, str) or self.decoder not in DECODERS:
             raise ValueError(f"decoder must be one of {tuple(DECODERS)}")
-        for f in fields(self):  # the int and bool fields, as declared
-            value = getattr(self, f.name)
-            if f.type is int and (type(value) is bool or not isinstance(value, numbers.Integral)):
-                raise ValueError(f"{f.name} must be an integer, got {value!r}")
-            if f.type is bool and not isinstance(value, (bool, np.bool_)):
-                raise ValueError(f"{f.name} must be true or false, got {value!r}")
+        check_field_types(self)
         for name in ("list_size", "min_errors", "max_frames", "batch"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -162,11 +157,15 @@ class SimResult:
         return "\n".join([self.CSV_HEADER, *rows]) + "\n"
 
 
-def wilson_interval(k, n, z=1.959964):
+_Z95 = 1.959964  # two-sided 95% standard normal quantile
+
+
+def wilson_interval(k, n):
     """95% Wilson score interval for a binomial proportion."""
     if n == 0:
         return 0.0, 1.0
     p = k / n
+    z = _Z95
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
     half = z * np.sqrt(p * (1 - p) / n + z * z / (4 * n * n)) / denom
@@ -206,13 +205,13 @@ def _gen_frames(cfg, snr_idx, start, count, sigma):
     return payloads, _channel_llrs(encode(u, cfg.code), sigma, noise)
 
 
-def run_bler(cfg, label=""):
+def run_bler(cfg):
     """Run the Monte-Carlo sweep described by ``cfg``."""
     decode = batch_decoder(cfg.decoder, cfg.code, cfg.plan_options(), cfg.list_size,
                            cfg.crc, cfg.minsum)
     info = cfg.code.info_indices
     nbits = cfg.payload_bits
-    result = SimResult(config_label=label or cfg.decoder)
+    result = SimResult(config_label=cfg.decoder)
     for snr_idx, snr in enumerate(cfg.snr_db):
         sigma = cfg.sigma_for(snr)
         t0 = time.perf_counter()
@@ -257,7 +256,12 @@ def load_sim_config(path):
     if isinstance(crc, str):
         crc = crc_by_name(crc)
     elif isinstance(crc, dict):
-        crc = CrcSpec(**crc)
+        try:
+            crc = CrcSpec(**crc)
+        except TypeError:  # an unknown or a missing field
+            names = [f.name for f in fields(CrcSpec)]
+            raise ValueError(f"a CRC spec object has the fields {names}, of which width and "
+                             f"polynomial are required; got {sorted(crc)}") from None
     known = {f for f in SimConfig.__dataclass_fields__} - {"code", "crc"}
     unknown = set(raw) - known
     if unknown:

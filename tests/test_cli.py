@@ -106,6 +106,10 @@ def _bad_inputs(tmp_path):
         return ["simulate", "--config", str(tmp_path / f"{name}.json"),
                 "--out", str(tmp_path / "out.csv")]
 
+    def decode_with(name, desc):  # a malformed code descriptor
+        (tmp_path / f"{name}.json").write_text(json.dumps(desc))
+        return ["decode", "--code", str(tmp_path / f"{name}.json")], llrs
+
     def encode_with(value):  # at an information index
         u = ["0"] * 16
         u[code.info_indices[0]] = value
@@ -133,6 +137,27 @@ def _bad_inputs(tmp_path):
         "sim-ebn0-without-payload": (simulate("ebn0", code="k0.json"), "",
                                      "'ebn0' needs payload bits"),
         **{f"encode-{v}": encode_with(v) for v in ("2", "-1", "256", "0.5")},
+        "desc-no-n": (*decode_with("non", {"K": 4, "frozen_indices": [0, 1, 2, 4]}),
+                      "a JSON object with 'n' and 'frozen_indices'"),
+        "desc-list": (*decode_with("list", [1, 2]), "a JSON object with 'n'"),
+        "desc-no-frozen": (*decode_with("nofrozen", {"n": 3}), "a JSON object with 'n'"),
+        "desc-frozen-int": (*decode_with("frozenint", {"n": 3, "frozen_indices": 5}),
+                            "frozen_indices must be a list"),
+        "desc-sigma-null": (*decode_with("sigma", {"n": 4, "frozen_indices": code.frozen_indices
+                                                   .tolist(), "design_sigma": None}),
+                            "design_sigma must be a number"),
+        "sim-crc-bogus": (simulate("crcbogus", crc={"bogus": 1}), "",
+                          "a CRC spec object has the fields ['width', 'polynomial', 'init', "
+                          "'reflect', 'final_xor']"),
+        "sim-crc-width-x": (simulate("crcwx", crc={"width": "x", "polynomial": 7}), "",
+                            "width must be an integer"),
+        "sim-crc-width-0": (simulate("crcw0", crc={"width": 0, "polynomial": 7}), "",
+                            "CRC width must be >= 1"),
+        "sim-crc-reflect-yes": (simulate("crcref", crc={"width": 4, "polynomial": 7,
+                                                         "reflect": "yes"}), "",
+                                "reflect must be true or false"),
+        **{f"sim-crc-poly-{p}": (simulate(f"crcpoly{p}", crc={"width": 4, "polynomial": p}), "",
+                                 "CRC polynomial must be in [0, 2**width)") for p in (-3, 0x1F)},
     }
 
 
@@ -141,7 +166,11 @@ def _bad_inputs(tmp_path):
                                   "encode-frozen-one", "missing-code-file",
                                   "sim-list-size-2.5", "sim-scalar-snr", "sim-batch-string",
                                   "sim-grep-no", "sim-no-code-path", "sim-ebn0-without-payload",
-                                  "encode-2", "encode--1", "encode-256", "encode-0.5"])
+                                  "encode-2", "encode--1", "encode-256", "encode-0.5",
+                                  "desc-no-n", "desc-list", "desc-no-frozen", "desc-frozen-int",
+                                  "desc-sigma-null", "sim-crc-bogus", "sim-crc-width-x",
+                                  "sim-crc-width-0", "sim-crc-reflect-yes", "sim-crc-poly--3",
+                                  "sim-crc-poly-31"])
 def test_bad_inputs_are_usage_errors(tmp_path, monkeypatch, capsys, case):
     argv, stdin, message = _bad_inputs(tmp_path)[case]
     feed(monkeypatch, stdin)

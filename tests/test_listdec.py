@@ -170,11 +170,12 @@ def test_scl_equals_descent_oracle(n, seed, L, minsum):
 @given(st.integers(0, 10 ** 6), st.integers(1, 4), st.integers(1, 8))
 @settings(max_examples=60, deadline=None)
 def test_realign_reuses_composed_lineage(seed, B, L):
-    # random fork maps under a random recursion tree, realigned in walker
-    # order; each realign must equal composing the original maps one by one
+    # random fork maps under a random recursion tree; every frame returns
+    # its ancestry composed by realign, as the walker does, and each realign
+    # through it must equal composing the original maps one by one
     rng = np.random.default_rng(seed)
     ps = PathSet(B, L)
-    events = []  # every fork map ever appended, never compacted
+    events = []  # every fork map, in order
 
     def expected(arr, ev):
         idx = np.broadcast_to(np.arange(ps.P), (B, ps.P))
@@ -182,26 +183,27 @@ def test_realign_reuses_composed_lineage(seed, B, L):
             idx = np.take_along_axis(m, idx, axis=1)
         return np.take_along_axis(arr, idx[:, :, None], axis=1)
 
-    def tagged():
-        return rng.random((B, ps.P, 2))
+    def check(arr, anc, ev):
+        assert np.array_equal(ps.realign(arr, anc), expected(arr, ev))
 
     def frame(depth):
+        ev, arr = len(events), rng.random((B, ps.P, 2))
         if depth == 0 or rng.random() < 0.2:
-            gen, ev, arr = len(ps.maps), len(events), tagged()
+            anc = None
             for _ in range(rng.integers(0, 4)):
                 new_p = int(rng.integers(1, L + 1))
                 events.append(rng.integers(0, ps.P, (B, new_p)))
-                ps.maps.append(events[-1])
                 ps.P = new_p
-                # a Rate-1 node reads each column through the lineage so far
-                assert np.array_equal(ps.realign(arr, gen), expected(arr, ev))
-            return
-        gen, ev, arr = len(ps.maps), len(events), tagged()
-        frame(depth - 1)
-        assert np.array_equal(ps.realign(arr, gen), expected(arr, ev))
-        gen, ev, arr = len(ps.maps), len(events), tagged()
-        frame(depth - 1)
-        assert np.array_equal(ps.realign(arr, gen), expected(arr, ev))
+                anc = ps.realign(anc, events[-1])
+                # a Rate-1 node reads each column through its ancestry so far
+                check(arr, anc, ev)
+            check(arr, anc, ev)
+            return anc
+        anc_l = frame(depth - 1)
+        check(arr, anc_l, ev)
+        anc = ps.realign(anc_l, frame(depth - 1))
+        check(arr, anc, ev)
+        return anc
 
     frame(int(rng.integers(1, 7)))
 
