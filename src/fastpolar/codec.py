@@ -69,7 +69,9 @@ def f_step(alpha, minsum=False):
         raise ValueError("f_step needs an even-length LLR vector")
     a, b = alpha[..., :m], alpha[..., m:]
     if minsum:
-        return np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
+        # sign(a) sign(b) min(|a|, |b|) in fewer passes; only the sign of a
+        # zero can differ.  sign(a) * b, unlike a * b, cannot overflow
+        return np.copysign(np.minimum(np.abs(a), np.abs(b)), np.sign(a) * b)
     prod = np.tanh(a / 2.0) * np.tanh(b / 2.0)
     return 2.0 * np.arctanh(np.clip(prod, -_ATANH_CLIP, _ATANH_CLIP))
 
@@ -94,13 +96,26 @@ def combine(beta_left, beta_right):
 
 def _llr_batch(channel_llrs, N):
     """Channel LLRs as a finite float (B, N) array; one frame becomes a batch of one."""
-    alpha = np.atleast_2d(np.asarray(channel_llrs, dtype=np.float64))
+    alpha = np.asarray(channel_llrs, dtype=np.float64)
+    if alpha.ndim not in (1, 2):
+        raise ValueError(f"expected a (B, {N}) batch or one frame of {N} LLRs, "
+                         f"got an array of shape {alpha.shape}")
+    alpha = np.atleast_2d(alpha)
     if alpha.shape[-1] != N:
         raise ValueError(f"expected {N} LLRs per frame, got {alpha.shape[-1]}")
     bad = alpha.size - np.count_nonzero(np.isfinite(alpha))
     if bad:  # NaN or inf would decode silently to garbage
         raise ValueError(f"{bad} of {alpha.size} channel LLRs are not finite (NaN or inf)")
     return alpha
+
+
+def _one_frame(channel_llrs, N):
+    """One frame's LLRs as a batch of one, for the single-frame entry points."""
+    alpha = np.asarray(channel_llrs)
+    if alpha.ndim != 1:
+        raise ValueError(f"expected one frame of {N} LLRs (a 1-D array), "
+                         f"got an array of shape {alpha.shape}")
+    return alpha[None, :]
 
 
 def sc_decode_batch(channel_llrs, code, minsum=True):
@@ -117,5 +132,5 @@ def sc_decode_batch(channel_llrs, code, minsum=True):
 
 def sc_decode(channel_llrs, code, minsum=True):
     """SC-decode one frame; returns (u_hat, x_hat)."""
-    u_hat, x_hat = sc_decode_batch(np.asarray(channel_llrs)[None, :], code, minsum)
+    u_hat, x_hat = sc_decode_batch(_one_frame(channel_llrs, code.N), code, minsum)
     return u_hat[0], x_hat[0]

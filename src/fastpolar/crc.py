@@ -63,7 +63,6 @@ def crc_bits(payload, spec):
     if spec.reflect:
         bits = bits[::-1]
     reg = spec.init
-    top = 1 << (spec.width - 1)
     mask = (1 << spec.width) - 1
     for b in bits:
         fb = ((reg >> (spec.width - 1)) & 1) ^ int(b)

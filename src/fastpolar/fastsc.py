@@ -8,7 +8,7 @@ in the plan.  Plain SC is this walker on the leaves-only plan.
 
 import numpy as np
 
-from .codec import _llr_batch, combine, f_step, g_step, polar_transform
+from .codec import _llr_batch, _one_frame, combine, f_step, g_step, polar_transform
 
 __all__ = ["grep_fold", "wagner_decode", "decode_grep_sc", "decode_gpc_sc",
            "fast_ssc_decode", "fast_ssc_decode_batch"]
@@ -37,12 +37,14 @@ def wagner_decode(alpha):
     (lowest index on |LLR| ties).
     """
     alpha = np.asarray(alpha, dtype=np.float64)
-    beta = np.ascontiguousarray(alpha < 0).astype(np.uint8)
-    parity = np.bitwise_xor.reduce(beta, axis=-1, keepdims=True)
-    worst = np.argmin(np.abs(alpha), axis=-1)[..., None]
-    flip = np.zeros_like(beta)
-    np.put_along_axis(flip, worst, parity, axis=-1)
-    return beta ^ flip
+    # C order, so that the flat view below writes into beta (alpha may be
+    # a swapped view, and a reshape of a non-contiguous array copies)
+    beta = (alpha < 0).astype(np.uint8, order="C")
+    k = beta.shape[-1]
+    parity = np.bitwise_xor.reduce(beta, axis=-1)
+    worst = np.argmin(np.abs(alpha), axis=-1).reshape(-1)
+    beta.reshape(-1)[worst + np.arange(0, beta.size, k)] ^= parity.reshape(-1)
+    return beta
 
 
 def decode_grep_sc(alpha, plan, minsum=True):
@@ -106,5 +108,5 @@ def fast_ssc_decode_batch(channel_llrs, plan, minsum=True):
 
 def fast_ssc_decode(channel_llrs, plan, minsum=True):
     """Fast-SSC decode one frame; returns (u_hat, x_hat)."""
-    u_hat, x_hat = fast_ssc_decode_batch(np.asarray(channel_llrs)[None, :], plan, minsum)
+    u_hat, x_hat = fast_ssc_decode_batch(_one_frame(channel_llrs, plan.size), plan, minsum)
     return u_hat[0], x_hat[0]

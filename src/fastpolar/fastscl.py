@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .classify import DecodePlan
-from .codec import _llr_batch, combine, f_step, g_step, polar_transform
+from .codec import _llr_batch, _one_frame, combine, f_step, g_step, polar_transform
 from .listdec import PathSet, select_output
 
 __all__ = ["fast_scl_decode", "fast_scl_decode_batch", "fast_scl_decode_paths_batch"]
@@ -22,12 +22,14 @@ __all__ = ["fast_scl_decode", "fast_scl_decode_batch", "fast_scl_decode_paths_ba
 
 def _relu_neg(a):
     # Eq-(7) penalty for deciding 0 everywhere: |alpha| where the hard
-    # decision disagrees
-    return np.where(a < 0, -a, 0.0)
+    # decision disagrees.  fmax, unlike maximum or a product with a sign
+    # mask, charges 0 for the NaN of an overflowed f/g sum (inf - inf)
+    return np.fmax(-a, 0.0)
 
 
-def _relu_pos(a):
-    return np.where(a >= 0, a, 0.0)
+def _penalties(a):
+    # Eq-(7) penalties for deciding 0 and for deciding 1
+    return _relu_neg(a), np.fmax(a, 0.0)
 
 
 def _extend_rate0(ps, alpha):
@@ -61,7 +63,7 @@ def _extend_serial(ps, alpha):
                 if i == size:
                     break
             a = a[:, :, run]
-        src, bits = ps.fork(_relu_neg(a), _relu_pos(a))
+        src, bits = ps.fork(*_penalties(a))
         beta = beta[ps.rows, src]
         beta[:, :, i] = bits
         anc = ps.realign(anc, src)
@@ -70,7 +72,8 @@ def _extend_serial(ps, alpha):
 
 
 def _extend_rep(ps, alpha):
-    src, bits = ps.fork(_relu_neg(alpha).sum(axis=-1), _relu_pos(alpha).sum(axis=-1))
+    pen0, pen1 = _penalties(alpha)
+    src, bits = ps.fork(pen0.sum(axis=-1), pen1.sum(axis=-1))
     return np.repeat(bits[:, :, None], alpha.shape[-1], axis=2), src
 
 
@@ -149,5 +152,6 @@ def fast_scl_decode_batch(channel_llrs, code, plan, L, crc=None, minsum=True):
 
 def fast_scl_decode(channel_llrs, code, plan, L, crc=None, minsum=True):
     """Fast SCL decode of one frame; returns (u_hat, pm)."""
-    u_hat, pm = fast_scl_decode_batch(np.asarray(channel_llrs)[None, :], code, plan, L, crc, minsum)
+    u_hat, pm = fast_scl_decode_batch(_one_frame(channel_llrs, plan.size), code, plan, L, crc,
+                                      minsum)
     return u_hat[0], float(pm[0])

@@ -11,7 +11,7 @@ on the frozen pattern, never on the data.
 import numpy as np
 
 from .classify import leaves_only_plan
-from .codec import _llr_batch
+from .codec import _llr_batch, _one_frame
 from .crc import crc_check_batch
 
 __all__ = ["scl_decode", "scl_decode_batch", "scl_decode_paths_batch", "select_output"]
@@ -118,5 +118,5 @@ def scl_decode_batch(channel_llrs, code, L, crc=None, minsum=True):
 
 def scl_decode(channel_llrs, code, L, crc=None, minsum=True):
     """SCL-decode one frame; returns (u_hat, pm)."""
-    u_hat, pm = scl_decode_batch(np.asarray(channel_llrs)[None, :], code, L, crc, minsum)
+    u_hat, pm = scl_decode_batch(_one_frame(channel_llrs, code.N), code, L, crc, minsum)
     return u_hat[0], float(pm[0])

@@ -172,10 +172,14 @@ def wilson_interval(k, n):
     return max(0.0, center - half), min(1.0, center + half)
 
 
+def _frame_key(seed, snr_idx, frame_idx):
+    """The two 64-bit words of a frame's Philox key."""
+    return (seed & 0xFFFFFFFFFFFFFFFF,
+            ((snr_idx & 0xFFFFFF) << 40) | (frame_idx & 0xFFFFFFFFFF))
+
+
 def _frame_rng(seed, snr_idx, frame_idx):
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF,
-                    ((snr_idx & 0xFFFFFF) << 40) | (frame_idx & 0xFFFFFFFFFF)],
-                   dtype=np.uint64)
+    key = np.array(_frame_key(seed, snr_idx, frame_idx), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -192,12 +196,19 @@ def _gen_frames(cfg, snr_idx, start, count, sigma):
 
     Each frame draws its payload, then its noise, from its own stream;
     CRC, encoding and the channel then run once over the whole batch.
+    One generator serves every frame: setting its state to the frame's key
+    with the fresh state's zero counter and empty buffer starts the same
+    stream as ``_frame_rng``, without building a Philox per frame.
     """
     N, nbits = cfg.code.N, cfg.payload_bits
     payloads = np.empty((count, nbits), dtype=np.uint8)
     noise = np.empty((count, N))
+    rng = _frame_rng(cfg.seed, snr_idx, start)
+    fresh = rng.bit_generator.state
+    key = fresh["state"]["key"]
     for k in range(count):
-        rng = _frame_rng(cfg.seed, snr_idx, start + k)
+        key[:] = _frame_key(cfg.seed, snr_idx, start + k)
+        rng.bit_generator.state = fresh
         payloads[k] = rng.integers(0, 2, nbits, dtype=np.uint8)
         noise[k] = rng.normal(size=N)
     u = np.zeros((count, N), dtype=np.uint8)

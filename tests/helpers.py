@@ -2,9 +2,31 @@
 
 import numpy as np
 
-from fastpolar.codec import combine, encode, f_step, g_step, polar_transform
+from fastpolar.codec import combine, encode, polar_transform
 from fastpolar.crc import crc_bits
 from fastpolar.sim import _frame_rng
+
+# arctanh argument clamp of the exact f, as in the library
+_ATANH_CLIP = 1.0 - 2.0**-52
+
+
+# The descent oracles' own f/g kernels, written as the textbook formulas, so
+# that a change to ``codec.f_step``/``g_step`` cannot change the reference
+# the fast walkers are checked against.
+def f_step(alpha, minsum=False):
+    alpha = np.asarray(alpha, dtype=np.float64)
+    m = alpha.shape[-1] // 2
+    a, b = alpha[..., :m], alpha[..., m:]
+    if minsum:
+        return np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
+    prod = np.tanh(a / 2.0) * np.tanh(b / 2.0)
+    return 2.0 * np.arctanh(np.clip(prod, -_ATANH_CLIP, _ATANH_CLIP))
+
+
+def g_step(alpha, beta_left):
+    alpha = np.asarray(alpha, dtype=np.float64)
+    m = alpha.shape[-1] // 2
+    return alpha[..., m:] + (1 - 2 * np.asarray(beta_left, dtype=np.float64)) * alpha[..., :m]
 
 
 def kron_generator(n):
@@ -61,6 +83,19 @@ def ml_even_parity(alpha):
             best, best_corr = word, corr
     return best
 
+
+def wagner_per_row(alpha):
+    """Reference Wagner decoder: one row at a time, in plain Python."""
+    alpha = np.asarray(alpha, dtype=np.float64)
+    rows = alpha.reshape(-1, alpha.shape[-1])
+    out = np.empty(rows.shape, dtype=np.uint8)
+    for r, row in enumerate(rows.tolist()):
+        bits = [int(v < 0) for v in row]
+        if sum(bits) % 2:
+            mags = [abs(v) for v in row]
+            bits[mags.index(min(mags))] ^= 1  # the first of tied minima
+        out[r] = bits
+    return out.reshape(alpha.shape)
 
 
 def sc_descent_batch(llrs, code, minsum=False):

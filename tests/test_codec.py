@@ -3,8 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
+from fastpolar.classify import PlanOptions, classify
 from fastpolar.codec import combine, encode, f_step, g_step, polar_transform, sc_decode, sc_decode_batch
 from fastpolar.construction import PolarCode, construct_code
+from fastpolar.fastsc import fast_ssc_decode, fast_ssc_decode_batch
+from fastpolar.fastscl import fast_scl_decode, fast_scl_decode_batch, fast_scl_decode_paths_batch
+from fastpolar.listdec import scl_decode, scl_decode_batch, scl_decode_paths_batch
 from helpers import kron_generator, sc_descent_batch
 
 
@@ -104,6 +109,24 @@ def test_f_step_minsum_structure(vals):
     assert out == pytest.approx(np.sign(a) * np.sign(b) * min(abs(a), abs(b)))
 
 
+def test_f_step_minsum_matches_sign_product_on_hostile_values():
+    # every pair of: exact zeros of both signs, values whose products
+    # underflow (1e-170) or overflow (1e200, 1e308), and the infinities of
+    # overflowed f/g sums; then Gaussian LLRs at each scale, with zeros
+    v = [0.0, -0.0, 1.5, 3e-170, 7e-170, 2e-160, 4e200, 6e200, 1e308, np.inf]
+    v = np.array(v + [-x for x in v[2:]])
+    a, b = np.meshgrid(v, v)
+    rng = np.random.default_rng(11)
+    g = np.round(rng.normal(size=(3, 64, 16)), 1)  # about 4% exact zeros
+    for alpha in (np.stack([a.ravel(), b.ravel()], axis=-1),
+                  *(g * scale for scale in (1.0, 1e-170, 1e200))):
+        with np.errstate(invalid="ignore"):  # sign(0) * inf: a NaN sign for a zero
+            got = f_step(alpha, minsum=True)
+        ref = helpers.f_step(alpha, minsum=True)
+        assert np.array_equal(got, ref)  # by value: +0 == -0
+        assert np.array_equal(got < 0, ref < 0)
+
+
 def test_g_step_examples():
     assert g_step(np.array([1.0, 2.0]), np.array([0]))[0] == pytest.approx(3.0)
     assert g_step(np.array([1.0, 2.0]), np.array([1]))[0] == pytest.approx(1.0)
@@ -183,3 +206,39 @@ def test_non_finite_llrs_rejected(bad):
         sc_decode_batch(llrs, code)
     with pytest.raises(ValueError, match="2 of 32 channel LLRs are not finite"):
         sc_decode(llrs[1], code)
+
+
+def _entry_points():
+    code = construct_code(4, 8, 0.5)
+    plan = classify(code, PlanOptions(enable_grep=True, enable_gpc=True))
+    single = {"sc_decode": lambda x: sc_decode(x, code),
+              "fast_ssc_decode": lambda x: fast_ssc_decode(x, plan),
+              "scl_decode": lambda x: scl_decode(x, code, 4),
+              "fast_scl_decode": lambda x: fast_scl_decode(x, code, plan, 4)}
+    batch = {"sc_decode_batch": lambda x: sc_decode_batch(x, code),
+             "fast_ssc_decode_batch": lambda x: fast_ssc_decode_batch(x, plan),
+             "scl_decode_batch": lambda x: scl_decode_batch(x, code, 4),
+             "scl_decode_paths_batch": lambda x: scl_decode_paths_batch(x, code, 4),
+             "fast_scl_decode_batch": lambda x: fast_scl_decode_batch(x, code, plan, 4),
+             "fast_scl_decode_paths_batch": lambda x: fast_scl_decode_paths_batch(x, plan, 4)}
+    return single, batch
+
+
+@pytest.mark.parametrize("shape", [(2, 16), (1, 16), ()])
+@pytest.mark.parametrize("name", ["sc_decode", "fast_ssc_decode", "scl_decode", "fast_scl_decode"])
+def test_single_frame_entry_points_reject_other_shapes(name, shape):
+    decode = _entry_points()[0][name]
+    with pytest.raises(ValueError, match="expected one frame of 16 LLRs"):
+        decode(np.ones(shape))
+    assert decode(np.ones(16))[0].shape == (16,)
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 16), ()])
+@pytest.mark.parametrize("name", ["sc_decode_batch", "fast_ssc_decode_batch", "scl_decode_batch",
+                                  "scl_decode_paths_batch", "fast_scl_decode_batch",
+                                  "fast_scl_decode_paths_batch"])
+def test_batch_entry_points_reject_other_ranks(name, shape):
+    decode = _entry_points()[1][name]
+    with pytest.raises(ValueError, match="expected a \\(B, 16\\) batch or one frame of 16 LLRs"):
+        decode(np.ones(shape))
+    assert decode(np.ones(16))[0].shape[0] == 1  # one frame is a batch of one

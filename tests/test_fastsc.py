@@ -8,7 +8,7 @@ from fastpolar.codec import encode, g_step, sc_decode
 from fastpolar.construction import PolarCode, construct_code
 from fastpolar.fastsc import (decode_gpc_sc, decode_grep_sc, fast_ssc_decode, fast_ssc_decode_batch,
                               grep_fold, wagner_decode)
-from helpers import ml_even_parity, sc_descent_batch
+from helpers import ml_even_parity, sc_descent_batch, wagner_per_row
 
 GEN = PlanOptions(enable_grep=True, enable_gpc=True)
 
@@ -55,6 +55,30 @@ def test_wagner_even_parity_is_hard_decision():
 def test_wagner_tie_flips_lowest_index():
     out = wagner_decode(np.array([2.0, 2.0, -2.0]))
     assert out.tolist() == [1, 0, 1]
+
+
+@pytest.mark.parametrize("shape", [(5,), (1, 4), (256, 8), (3, 4, 6), (16, 8, 2)])
+def test_wagner_matches_per_row_reference(shape):
+    # integer LLRs in -2..2: many |LLR| ties (the lowest index flips) and zeros
+    rng = np.random.default_rng(len(shape) * 100 + shape[-1])
+    for alpha in (rng.integers(-2, 3, shape).astype(float), rng.normal(size=shape)):
+        before = alpha.copy()
+        assert np.array_equal(wagner_decode(alpha), wagner_per_row(alpha))
+        assert np.array_equal(alpha, before)
+
+
+def test_wagner_on_swapped_view():
+    # decode_gpc_sc passes the sub-codes as a swapped, non-contiguous view
+    rng = np.random.default_rng(3)
+    alpha = rng.integers(-2, 3, (64, 32)).astype(float)
+    before = alpha.copy()
+    for np_sub in (2, 4, 8):
+        view = np.swapaxes(alpha.reshape(64, 32 // np_sub, np_sub), -1, -2)
+        assert not view.flags.c_contiguous
+        assert np.array_equal(wagner_decode(view), wagner_per_row(view))
+        ref = np.swapaxes(wagner_per_row(view), -1, -2).reshape(64, 32)
+        assert np.array_equal(decode_gpc_sc(alpha, np_sub), ref)
+    assert np.array_equal(alpha, before)
 
 
 @pytest.mark.parametrize("length", [2, 3, 4, 6, 8])

@@ -258,6 +258,22 @@ def test_noop_predicate_agrees_with_fork(seed, B, L, full):
         assert np.array_equal(ps.pm, pm)
 
 
+def test_overflowing_llrs_match_descent():
+    # |LLR| near the float maximum: g-sums overflow to inf, then to NaN
+    # (inf - inf); the walker's penalties must charge a NaN 0 both ways, as
+    # the descent does
+    rng = np.random.default_rng(5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in (3, 4, 5, 6):
+            code = construct_code(n, 1 << (n - 1), 0.5)
+            shape = (20, code.N)
+            llrs = rng.choice([-1.0, 1.0], shape) * rng.uniform(0.5, 1.0, shape) * 1e308
+            for L in (2, 4):
+                u, pm = scl_decode_paths_batch(llrs, code, L)
+                u_ref, pm_ref = scl_descent_paths_batch(llrs, code, L, minsum=True)
+                assert np.array_equal(u, u_ref) and np.array_equal(pm, pm_ref)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_llrs_rejected(bad):
     code = construct_code(5, 16, 0.5)

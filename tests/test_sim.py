@@ -247,3 +247,20 @@ def test_batched_frames_match_per_frame_reference(n, crc, start, count, snr_idx,
     ref_payloads, ref_llrs = gen_frames_per_frame(cfg, snr_idx, start, count, sigma)
     assert payloads.tobytes() == ref_payloads.tobytes()
     assert llrs.tobytes() == ref_llrs.tobytes()
+
+
+@pytest.mark.parametrize("crc", [None, CRC8])
+def test_batched_frames_across_key_masks(crc):
+    # the 40-bit frame index wraps inside the batch, and the SNR index is
+    # masked to 24 bits; the generator reused across frames must follow both
+    cfg = SimConfig(code=construct_code(6, 32, 0.5), crc=crc, seed=2**64 - 5)
+    sigma = cfg.sigma_for(1.5)
+    for snr_idx, start in ((0, 2**40 - 3), (2**24 + 1, 0)):
+        payloads, llrs = _gen_frames(cfg, snr_idx, start, 8, sigma)
+        ref_payloads, ref_llrs = gen_frames_per_frame(cfg, snr_idx, start, 8, sigma)
+        assert payloads.tobytes() == ref_payloads.tobytes()
+        assert llrs.tobytes() == ref_llrs.tobytes()
+    wrapped = _gen_frames(cfg, 0, 2**40 - 3, 8, sigma)[1]
+    assert wrapped[3:].tobytes() == _gen_frames(cfg, 0, 0, 5, sigma)[1].tobytes()
+    masked = _gen_frames(cfg, 2**24 + 1, 0, 8, sigma)[1]
+    assert masked.tobytes() == _gen_frames(cfg, 1, 0, 8, sigma)[1].tobytes()
