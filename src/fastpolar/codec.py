@@ -1,9 +1,10 @@
 """Polar encoding and full-tree successive-cancellation decoding.
 
-All soft-value operations work on the trailing axis so the same routines
-serve single frames, frame batches and per-path arrays in list decoding.
-A node owning 2^t LLRs consumes its parent's 2^(t+1) values through
-``f_step``/``g_step``.
+The soft-value operations work on the leading axis, positions first, so
+that the same routines serve single frames, (size, B) frame batches and
+(size, B, P) per-path arrays in list decoding, and each step's two halves
+are contiguous blocks.  A node owning 2^t LLRs consumes its parent's
+2^(t+1) values through ``f_step``/``g_step``.
 """
 
 import numpy as np
@@ -62,12 +63,12 @@ def encode(u, code):
 
 
 def f_step(alpha, minsum=False):
-    """Soft update for the left child; halves the trailing axis."""
+    """Soft update for the left child; halves the leading axis."""
     alpha = np.asarray(alpha, dtype=np.float64)
-    m = alpha.shape[-1] // 2
-    if alpha.shape[-1] != 2 * m:
+    m = alpha.shape[0] // 2
+    if alpha.shape[0] != 2 * m:
         raise ValueError("f_step needs an even-length LLR vector")
-    a, b = alpha[..., :m], alpha[..., m:]
+    a, b = alpha[:m], alpha[m:]
     if minsum:
         # sign(a) sign(b) min(|a|, |b|) in fewer passes; only the sign of a
         # zero can differ.  sign(a) * b, unlike a * b, cannot overflow
@@ -79,11 +80,11 @@ def f_step(alpha, minsum=False):
 def g_step(alpha, beta_left):
     """Soft update for the right child, given the left partial sums."""
     alpha = np.asarray(alpha, dtype=np.float64)
-    m = alpha.shape[-1] // 2
+    m = alpha.shape[0] // 2
     beta_left = np.asarray(beta_left)
-    if beta_left.shape[-1] != m:
+    if beta_left.shape[0] != m:
         raise ValueError("beta_left length must be half of alpha's")
-    a, b = alpha[..., :m], alpha[..., m:]
+    a, b = alpha[:m], alpha[m:]
     return b + (1.0 - 2.0 * beta_left) * a
 
 
@@ -91,11 +92,12 @@ def combine(beta_left, beta_right):
     """Partial-sum merge: (bl ^ br, br)."""
     bl = np.asarray(beta_left, dtype=np.uint8)
     br = np.asarray(beta_right, dtype=np.uint8)
-    return np.concatenate([bl ^ br, br], axis=-1)
+    return np.concatenate([bl ^ br, br])
 
 
 def _llr_batch(channel_llrs, N):
-    """Channel LLRs as a finite float (B, N) array; one frame becomes a batch of one."""
+    """Channel LLRs as a finite, C-contiguous float (N, B) array, positions
+    first, as the walkers take them; one frame becomes a batch of one."""
     alpha = np.asarray(channel_llrs, dtype=np.float64)
     if alpha.ndim not in (1, 2):
         raise ValueError(f"expected a (B, {N}) batch or one frame of {N} LLRs, "
@@ -106,7 +108,12 @@ def _llr_batch(channel_llrs, N):
     bad = alpha.size - np.count_nonzero(np.isfinite(alpha))
     if bad:  # NaN or inf would decode silently to garbage
         raise ValueError(f"{bad} of {alpha.size} channel LLRs are not finite (NaN or inf)")
-    return alpha
+    return np.ascontiguousarray(alpha.T)
+
+
+def _frames_first(x):
+    """A walker's positions-first (N, B) array as a C-contiguous (B, N) batch."""
+    return np.ascontiguousarray(x.T)
 
 
 def _one_frame(channel_llrs, N):
@@ -126,7 +133,8 @@ def sc_decode_batch(channel_llrs, code, minsum=True):
     """
     from .fastsc import _decode_node
 
-    x_hat = _decode_node(_llr_batch(channel_llrs, code.N), leaves_only_plan(code), minsum)
+    alpha = _llr_batch(channel_llrs, code.N)
+    x_hat = _frames_first(_decode_node(alpha, leaves_only_plan(code), minsum))
     return polar_transform(x_hat), x_hat
 
 

@@ -1,14 +1,14 @@
 """Fast SC decoding of special nodes and the plan-driven decoder.
 
-Node decoders operate on the trailing axis and broadcast over leading
-batch axes; ``fast_ssc_decode_batch`` walks a DecodePlan and is bit-exact
-with plain SC when only exact node kinds (everything except RG-PC) appear
-in the plan.  Plain SC is this walker on the leaves-only plan.
+Node decoders operate on the leading (positions) axis and broadcast over
+trailing batch axes; ``fast_ssc_decode_batch`` walks a DecodePlan and is
+bit-exact with plain SC when only exact node kinds (everything except RG-PC)
+appear in the plan.  Plain SC is this walker on the leaves-only plan.
 """
 
 import numpy as np
 
-from .codec import _llr_batch, _one_frame, combine, f_step, g_step, polar_transform
+from .codec import _frames_first, _llr_batch, _one_frame, combine, f_step, g_step, polar_transform
 
 __all__ = ["grep_fold", "wagner_decode", "decode_grep_sc", "decode_gpc_sc",
            "fast_ssc_decode", "fast_ssc_decode_batch"]
@@ -22,28 +22,28 @@ def grep_fold(alpha, p):
     """
     alpha = np.asarray(alpha, dtype=np.float64)
     target = 1 << p
-    if alpha.shape[-1] < target:
+    if alpha.shape[0] < target:
         raise ValueError("p too large for this node")
-    while alpha.shape[-1] > target:
-        half = alpha.shape[-1] // 2
-        alpha = alpha[..., half:] + alpha[..., :half]
+    while alpha.shape[0] > target:
+        half = alpha.shape[0] // 2
+        alpha = alpha[half:] + alpha[:half]
     return alpha
 
 
 def wagner_decode(alpha):
-    """ML decoding of a single-parity-check code.
+    """ML decoding of single-parity-check codes, each down axis 0.
 
     Hard decisions; if their XOR is odd, flip the least reliable position
     (lowest index on |LLR| ties).
     """
     alpha = np.asarray(alpha, dtype=np.float64)
     # C order, so that the flat view below writes into beta (alpha may be
-    # a swapped view, and a reshape of a non-contiguous array copies)
+    # a non-contiguous view, and a reshape of a non-contiguous array copies)
     beta = (alpha < 0).astype(np.uint8, order="C")
-    k = beta.shape[-1]
-    parity = np.bitwise_xor.reduce(beta, axis=-1)
-    worst = np.argmin(np.abs(alpha), axis=-1).reshape(-1)
-    beta.reshape(-1)[worst + np.arange(0, beta.size, k)] ^= parity.reshape(-1)
+    R = beta.size // beta.shape[0]  # number of codes
+    parity = np.bitwise_xor.reduce(beta, axis=0)
+    worst = np.argmin(np.abs(alpha), axis=0).reshape(-1)
+    beta.reshape(-1)[worst * R + np.arange(R)] ^= parity.reshape(-1)
     return beta
 
 
@@ -52,20 +52,18 @@ def decode_grep_sc(alpha, plan, minsum=True):
     alpha = np.asarray(alpha, dtype=np.float64)
     p = plan.rate_c.stage
     beta_rc = _decode_node(grep_fold(alpha, p), plan.rate_c, minsum)
-    reps = alpha.shape[-1] >> p
-    return np.concatenate([beta_rc] * reps, axis=-1)
+    return np.concatenate([beta_rc] * (alpha.shape[0] >> p))
 
 
 def decode_gpc_sc(alpha, np_sub):
     """Decode a G-PC node as np_sub interleaved SPC codes (parallel Wagner)."""
     alpha = np.asarray(alpha, dtype=np.float64)
-    size = alpha.shape[-1]
+    size = alpha.shape[0]
     if size % np_sub:
         raise ValueError("np_sub must divide the node size")
-    # sub-code j holds positions i*np_sub + j
-    strided = alpha.reshape(alpha.shape[:-1] + (size // np_sub, np_sub))
-    beta = wagner_decode(np.swapaxes(strided, -1, -2))
-    return np.swapaxes(beta, -1, -2).reshape(alpha.shape[:-1] + (size,))
+    # sub-code j holds positions i*np_sub + j: axis 0 of this free reshape
+    beta = wagner_decode(alpha.reshape((size // np_sub, np_sub) + alpha.shape[1:]))
+    return beta.reshape(alpha.shape)
 
 
 def _decode_rep(alpha, plan, minsum):
@@ -101,8 +99,7 @@ def _decode_node(alpha, plan, minsum):
 
 def fast_ssc_decode_batch(channel_llrs, plan, minsum=True):
     """Fast-SSC decode a (B, N) LLR batch; returns (u_hat, x_hat)."""
-    alpha = _llr_batch(channel_llrs, plan.size)
-    x_hat = _decode_node(alpha, plan, minsum)
+    x_hat = _frames_first(_decode_node(_llr_batch(channel_llrs, plan.size), plan, minsum))
     return polar_transform(x_hat), x_hat
 
 

@@ -33,7 +33,7 @@ def _penalties(a):
 
 
 def _extend_rate0(ps, alpha):
-    ps.penalize(_relu_neg(alpha).sum(axis=-1))
+    ps.penalize(_relu_neg(alpha).sum(axis=0))
     return np.zeros(alpha.shape, dtype=np.uint8), None
 
 
@@ -47,25 +47,25 @@ def _extend_serial(ps, alpha):
     again.  Column LLRs are read through each path's row at node entry, so
     ``alpha`` is never re-gathered; the decided bits follow every fork.
     """
-    size = alpha.shape[-1]
-    beta = np.empty((ps.B, ps.P, size), dtype=np.uint8)
+    size = alpha.shape[0]
+    beta = np.empty((size, ps.B, ps.P), dtype=np.uint8)
     anc = None
     i = 0
     while i < size:
         settled = ps.settled()
         cols = slice(i, None) if settled else i  # a run test reads the rest
-        a = ps.realign(alpha[:, :, cols], anc)
+        a = ps.realign(alpha[cols], anc)
         if settled:
             run = [*ps.noop_columns(a).tolist(), False].index(False)
             if run:
-                beta[:, :, i:i + run] = a[:, :, :run] < 0
+                beta[i:i + run] = a[:run] < 0
                 i += run
                 if i == size:
                     break
-            a = a[:, :, run]
+            a = a[run]
         src, bits = ps.fork(*_penalties(a))
-        beta = beta[ps.rows, src]
-        beta[:, :, i] = bits
+        beta = beta[:, ps.rows, src]
+        beta[i] = bits
         anc = ps.realign(anc, src)
         i += 1
     return beta, anc
@@ -73,21 +73,21 @@ def _extend_serial(ps, alpha):
 
 def _extend_rep(ps, alpha):
     pen0, pen1 = _penalties(alpha)
-    src, bits = ps.fork(pen0.sum(axis=-1), pen1.sum(axis=-1))
-    return np.repeat(bits[:, :, None], alpha.shape[-1], axis=2), src
+    src, bits = ps.fork(pen0.sum(axis=0), pen1.sum(axis=0))
+    return np.repeat(bits[None], alpha.shape[0], axis=0), src
 
 
 def _extend_grep(ps, alpha, plan, minsum):
     # fold through the all-frozen left siblings, charging their Rate-0
     # penalties level by level
-    size = alpha.shape[-1]
+    size = alpha.shape[0]
     p = plan.rate_c.stage
-    while alpha.shape[-1] > (1 << p):
-        half = alpha.shape[-1] // 2
-        ps.penalize(_relu_neg(f_step(alpha, minsum)).sum(axis=-1))
-        alpha = alpha[..., half:] + alpha[..., :half]
+    while alpha.shape[0] > (1 << p):
+        half = alpha.shape[0] // 2
+        ps.penalize(_relu_neg(f_step(alpha, minsum)).sum(axis=0))
+        alpha = alpha[half:] + alpha[:half]
     beta_rc, anc = _extend_node(ps, alpha, plan.rate_c, minsum)
-    return np.concatenate([beta_rc] * (size >> p), axis=-1), anc
+    return np.concatenate([beta_rc] * (size >> p)), anc
 
 
 @lru_cache(maxsize=None)
@@ -111,9 +111,9 @@ def _extend_split(ps, alpha, plan, minsum):
     return combine(ps.realign(bl, anc_r), br), ps.realign(anc_l, anc_r)
 
 
-# node kind -> extension(ps, alpha, plan, minsum) returning the (B, P, size)
-# partial sums of the surviving paths and their ancestry: each survivor's
-# row at node entry, or None when no row moved
+# node kind -> extension(ps, alpha, plan, minsum) of (size, B, P) LLRs,
+# returning the (size, B, P) partial sums of the surviving paths and their
+# ancestry: each survivor's row at node entry, or None when no row moved
 _NODE_EXTENDERS = {
     "rate0": lambda ps, alpha, plan, minsum: _extend_rate0(ps, alpha),
     "rate1": lambda ps, alpha, plan, minsum: _extend_serial(ps, alpha),
@@ -130,13 +130,14 @@ def _extend_node(ps, alpha, plan, minsum):
 
 
 def _decode_paths(alpha, plan, L, minsum):
-    """Walk ``plan`` over a (B, N) LLR batch; returns (u, pm) sorted by metric."""
+    """Walk ``plan`` over (N, B) LLRs; returns (u (B, P, N), pm) sorted by metric."""
     if L < 1:
         raise ValueError("list size must be >= 1")
-    ps = PathSet(alpha.shape[0], L)
-    beta, _ = _extend_node(ps, alpha[:, None, :], plan, minsum)
+    ps = PathSet(alpha.shape[1], L)
+    beta, _ = _extend_node(ps, alpha[:, :, None], plan, minsum)
     order = np.argsort(ps.pm, axis=1, kind="stable")
-    return polar_transform(beta[ps.rows, order]), ps.pm[ps.rows, order]
+    # a gather on the leading axes of (B, P, N) is a C-contiguous batch
+    return polar_transform(beta.transpose(1, 2, 0)[ps.rows, order]), ps.pm[ps.rows, order]
 
 
 def fast_scl_decode_paths_batch(channel_llrs, plan, L, minsum=True):

@@ -35,7 +35,7 @@ class PathSet:
         self.rows = np.arange(B)[:, None]
 
     def realign(self, arr, anc):
-        """Gather the rows of a (B, P_then, ...) array through ancestry ``anc``.
+        """Gather the rows of a (..., B, P_then) array through ancestry ``anc``.
 
         None on either side is the identity, so ``realign(first, then)`` of
         two ancestries composes them.
@@ -44,7 +44,7 @@ class PathSet:
             return arr
         if arr is None:
             return anc
-        return arr[self.rows, anc]
+        return arr[..., self.rows, anc]
 
     def fork(self, pen0, pen1):
         """Split every path on a binary decision and prune to L.
@@ -68,14 +68,13 @@ class PathSet:
         return self.P == self.L and not np.count_nonzero(self.pm[:, 1:] <= self.pm[:, :-1])
 
     def noop_columns(self, a):
-        """Per column of a (B, P, k) LLR block, whether its fork is a no-op.
+        """Per column of a (k, B, P) LLR block, whether its fork is a no-op.
 
         When ``settled()``, a fork keeps every row in place with its metric
         and hard decision ``a < 0`` if each flip candidate ``pm + |a|`` is
         strictly above the largest metric.  Such forks leave the metrics as
         they were, so column j's answer holds after those before it."""
-        pm = self.pm[:, :, None]
-        return (pm + np.abs(a) > pm[:, -1:]).all(axis=(0, 1))
+        return (self.pm + np.abs(a) > self.pm[:, -1:]).all(axis=(1, 2))
 
     def penalize(self, pen):
         self.pm = self.pm + pen

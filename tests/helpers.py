@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from fastpolar.codec import combine, encode, polar_transform
+from fastpolar.codec import encode, polar_transform
 from fastpolar.crc import crc_bits
 from fastpolar.sim import _frame_rng
 
@@ -10,9 +10,10 @@ from fastpolar.sim import _frame_rng
 _ATANH_CLIP = 1.0 - 2.0**-52
 
 
-# The descent oracles' own f/g kernels, written as the textbook formulas, so
-# that a change to ``codec.f_step``/``g_step`` cannot change the reference
-# the fast walkers are checked against.
+# The descent oracles' own f/g/combine kernels, written as the textbook
+# formulas on the trailing axis, so that a change to ``codec.f_step``,
+# ``g_step`` or ``combine`` cannot change the reference the fast walkers are
+# checked against.
 def f_step(alpha, minsum=False):
     alpha = np.asarray(alpha, dtype=np.float64)
     m = alpha.shape[-1] // 2
@@ -27,6 +28,10 @@ def g_step(alpha, beta_left):
     alpha = np.asarray(alpha, dtype=np.float64)
     m = alpha.shape[-1] // 2
     return alpha[..., m:] + (1 - 2 * np.asarray(beta_left, dtype=np.float64)) * alpha[..., :m]
+
+
+def combine(beta_left, beta_right):
+    return np.concatenate([beta_left ^ beta_right, beta_right], axis=-1)
 
 
 def kron_generator(n):

@@ -139,14 +139,14 @@ def test_criterion_4_wagner_is_ml():
         signs = 1.0 - 2.0 * words
         alphas = rng.normal(size=(1000, length)) * 2
         ml = words[np.argmax(signs @ alphas.T, axis=0)]
-        got = wagner_decode(alphas)
+        got = wagner_decode(alphas.T).T
         bad += int((got != ml).any(axis=1).sum())
         if length <= 8:
             mags = np.linspace(1.0, 2.0, length)
             pat = ((np.arange(1 << length)[:, None] >> np.arange(length)) & 1)
             alphas = mags * (1.0 - 2.0 * pat)
             ml = words[np.argmax(signs @ alphas.T, axis=0)]
-            bad += int((wagner_decode(alphas) != ml).any(axis=1).sum())
+            bad += int((wagner_decode(alphas.T).T != ml).any(axis=1).sum())
     dt = time.perf_counter() - t0
     report("criterion 4 Wagner = ML", bad == 0 and dt < 60.0,
            f"{bad} ML mismatches, {dt:.1f}s (limit 60s)")

@@ -121,7 +121,7 @@ def test_f_step_minsum_matches_sign_product_on_hostile_values():
     for alpha in (np.stack([a.ravel(), b.ravel()], axis=-1),
                   *(g * scale for scale in (1.0, 1e-170, 1e200))):
         with np.errstate(invalid="ignore"):  # sign(0) * inf: a NaN sign for a zero
-            got = f_step(alpha, minsum=True)
+            got = np.moveaxis(f_step(np.moveaxis(alpha, -1, 0), minsum=True), 0, -1)
         ref = helpers.f_step(alpha, minsum=True)
         assert np.array_equal(got, ref)  # by value: +0 == -0
         assert np.array_equal(got < 0, ref < 0)
@@ -242,3 +242,22 @@ def test_batch_entry_points_reject_other_ranks(name, shape):
     with pytest.raises(ValueError, match="expected a \\(B, 16\\) batch or one frame of 16 LLRs"):
         decode(np.ones(shape))
     assert decode(np.ones(16))[0].shape[0] == 1  # one frame is a batch of one
+
+
+@pytest.mark.parametrize("name", ["sc_decode_batch", "fast_ssc_decode_batch", "scl_decode_batch",
+                                  "scl_decode_paths_batch", "fast_scl_decode_batch",
+                                  "fast_scl_decode_paths_batch"])
+def test_batch_entry_points_keep_frames_first_layout(name):
+    # the walkers run positions first, but every batch entry point returns
+    # C-contiguous arrays with frames first, for C-ordered, F-ordered and
+    # strided input alike
+    decode = _entry_points()[1][name]
+    rng = np.random.default_rng(9)
+    wide = rng.normal(size=(5, 32)) * 2.5
+    ref = decode(wide[:, ::2].copy())
+    for llrs in (np.asfortranarray(wide[:, ::2]), wide[:, ::2]):
+        got = decode(llrs)
+        assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+    for out in ref:
+        assert out.shape[0] == 5 and out.flags.c_contiguous
+    assert ref[0].shape == ((5, 4, 16) if name.endswith("paths_batch") else (5, 16))

@@ -63,21 +63,25 @@ def test_wagner_matches_per_row_reference(shape):
     rng = np.random.default_rng(len(shape) * 100 + shape[-1])
     for alpha in (rng.integers(-2, 3, shape).astype(float), rng.normal(size=shape)):
         before = alpha.copy()
-        assert np.array_equal(wagner_decode(alpha), wagner_per_row(alpha))
+        got = np.moveaxis(wagner_decode(np.moveaxis(alpha, -1, 0)), 0, -1)
+        assert np.array_equal(got, wagner_per_row(alpha))
         assert np.array_equal(alpha, before)
 
 
 def test_wagner_on_swapped_view():
-    # decode_gpc_sc passes the sub-codes as a swapped, non-contiguous view
+    # codes down axis 0 of a non-contiguous view; decode_gpc_sc takes
+    # positions first, so its batch is transposed
     rng = np.random.default_rng(3)
     alpha = rng.integers(-2, 3, (64, 32)).astype(float)
     before = alpha.copy()
     for np_sub in (2, 4, 8):
         view = np.swapaxes(alpha.reshape(64, 32 // np_sub, np_sub), -1, -2)
         assert not view.flags.c_contiguous
-        assert np.array_equal(wagner_decode(view), wagner_per_row(view))
+        codes = np.moveaxis(view, -1, 0)
+        assert not codes.flags.c_contiguous
+        assert np.array_equal(np.moveaxis(wagner_decode(codes), 0, -1), wagner_per_row(view))
         ref = np.swapaxes(wagner_per_row(view), -1, -2).reshape(64, 32)
-        assert np.array_equal(decode_gpc_sc(alpha, np_sub), ref)
+        assert np.array_equal(decode_gpc_sc(alpha.T, np_sub).T, ref)
     assert np.array_equal(alpha, before)
 
 

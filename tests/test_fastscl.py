@@ -177,6 +177,21 @@ def test_tie_heavy_llrs_keep_path_sets(n, seed, L, B):
                 assert mm[b, p] == path_metric_of(llrs[b], uu[b, p])
 
 
+@pytest.mark.parametrize("n", range(4, 11))
+def test_fast_scl_list_of_one_is_fast_sc(n):
+    # with one path every fork keeps the hard decision, as fast SC takes it;
+    # this ties the two plan walkers together on every exact rung
+    rng = np.random.default_rng(n)
+    for K in ((1 << n) // 4, (1 << n) // 2, 3 * (1 << n) // 4):
+        code = construct_code(n, K, 0.5)
+        x = polar_transform(rng.integers(0, 2, (16, code.N), dtype=np.uint8) * code.flags)
+        llrs = (1.0 - 2.0 * x) * 1.2 + rng.normal(size=x.shape)
+        for label, opts in option_sweep()[:3]:
+            plan = classify(code, opts)
+            u, _ = fast_scl_decode_paths_batch(llrs, plan, 1)
+            assert np.array_equal(u[:, 0], fast_ssc_decode_batch(llrs, plan)[0]), (K, label)
+
+
 def test_noop_forks_are_skipped(monkeypatch):
     # a noisy frame at 2 dB: most Rate-1 columns are decided by hard
     # decision without a fork, and the decode is the same as with every fork

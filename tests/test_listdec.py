@@ -184,7 +184,8 @@ def test_realign_reuses_composed_lineage(seed, B, L):
         return np.take_along_axis(arr, idx[:, :, None], axis=1)
 
     def check(arr, anc, ev):
-        assert np.array_equal(ps.realign(arr, anc), expected(arr, ev))
+        got = np.moveaxis(ps.realign(np.moveaxis(arr, -1, 0), anc), 0, -1)
+        assert np.array_equal(got, expected(arr, ev))
 
     def frame(depth):
         ev, arr = len(events), rng.random((B, ps.P, 2))
@@ -221,7 +222,7 @@ def test_noop_predicate_examples():
     # column 0's flips 5, 5, 5 clear the largest metric 3; column 1's 0 + 3
     # only ties it; column 2's 0 + 0 is below it
     a = np.array([[5.0, 3.0, 0.0], [-4.0, 9.0, 2.0], [2.0, -7.0, 1.0]])[None]
-    assert ps.noop_columns(a).tolist() == [True, False, False]
+    assert ps.noop_columns(np.moveaxis(a, -1, 0)).tolist() == [True, False, False]
     # tied metrics are not settled; there is no latch, so the answer
     # follows the metrics as soon as they change, with or without a penalize
     ps = paths(0.0, 1.0, 1.0)
@@ -248,7 +249,7 @@ def test_noop_predicate_agrees_with_fork(seed, B, L, full):
         ps.pm = rng.permuted(ps.pm, axis=1)
     a = rng.integers(-6, 7, (B, ps.P, int(rng.integers(1, 6)))).astype(float)
     a[rng.random(a.shape) < 0.2] = 0.0
-    noop = ps.noop_columns(a) if ps.settled() else np.zeros(a.shape[-1], bool)
+    noop = ps.noop_columns(np.moveaxis(a, -1, 0)) if ps.settled() else np.zeros(a.shape[-1], bool)
     pm = ps.pm.copy()
     for j in np.flatnonzero(noop):
         col = a[:, :, j]
