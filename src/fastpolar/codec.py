@@ -47,7 +47,8 @@ def polar_transform(u):
     if N & (N - 1):
         raise ValueError("length must be a power of two")
     packed = _BYTE_TRANSFORM[np.packbits(x, axis=-1, bitorder="little")]
-    return _butterfly(np.unpackbits(packed, axis=-1, count=N, bitorder="little"), 8)
+    # levels h >= 8 XOR whole bytes, so they run on the packed array
+    return np.unpackbits(_butterfly(packed, 1), axis=-1, count=N, bitorder="little")
 
 
 def encode(u, code):

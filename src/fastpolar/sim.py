@@ -3,10 +3,12 @@
 Every frame draws its payload and then its noise from its own
 counter-based RNG substream keyed by (master seed, SNR index, frame
 index), so results are a pure function of the configuration no matter how
-frames are batched or scheduled.  Only these draws run per frame; CRC
-attachment, encoding and the channel run once per batch.  The stop rule
-cuts off at the first frame whose error brings the cumulative count to
-``min_errors``, which keeps the counters batch-size invariant.
+frames are batched or scheduled.  The payload bits are read from raw
+Philox words, the same stream and bits as ``integers(0, 2, n, uint8)``.
+Only these draws run per frame; CRC attachment, encoding and the channel
+run once per batch.  The stop rule cuts off at the first frame whose error
+brings the cumulative count to ``min_errors``, which keeps the counters
+batch-size invariant.
 """
 
 import json
@@ -52,8 +54,15 @@ def awgn_bpsk_llrs(x, sigma, rng):
 
 
 def _channel_llrs(x, sigma, noise):
-    # BPSK (0 -> +1, 1 -> -1) plus sigma-scaled unit noise, as LLRs
-    return 2.0 * ((1.0 - 2.0 * x) + sigma * noise) / sigma**2
+    """BPSK (0 -> +1, 1 -> -1) plus sigma-scaled unit noise, as LLRs
+    2 ((1 - 2x) + sigma noise) / sigma^2, computed in (and consuming) ``noise``."""
+    bpsk = x * -2.0  # -2x + 1 is exactly 1 - 2x, built in one temporary
+    bpsk += 1.0
+    noise *= sigma
+    noise += bpsk
+    noise *= 2.0
+    noise /= sigma**2
+    return noise
 
 
 @dataclass
@@ -199,9 +208,11 @@ def _gen_frames(cfg, snr_idx, start, count, sigma):
     One generator serves every frame: setting its state to the frame's key
     with the fresh state's zero counter and empty buffer starts the same
     stream as ``_frame_rng``, without building a Philox per frame.
+    The payload is the top bit of each byte of ceil(n/8) raw words, low byte
+    first: the draws and bits of ``integers(0, 2, n, uint8)``, which never rejects.
     """
     N, nbits = cfg.code.N, cfg.payload_bits
-    payloads = np.empty((count, nbits), dtype=np.uint8)
+    raw = np.empty((count, -(-nbits // 8)), dtype=np.uint64)
     noise = np.empty((count, N))
     rng = _frame_rng(cfg.seed, snr_idx, start)
     fresh = rng.bit_generator.state
@@ -209,8 +220,9 @@ def _gen_frames(cfg, snr_idx, start, count, sigma):
     for k in range(count):
         key[:] = _frame_key(cfg.seed, snr_idx, start + k)
         rng.bit_generator.state = fresh
-        payloads[k] = rng.integers(0, 2, nbits, dtype=np.uint8)
-        noise[k] = rng.normal(size=N)
+        raw[k] = rng.bit_generator.random_raw(raw.shape[1])
+        rng.standard_normal(out=noise[k])
+    payloads = raw.astype("<u8", copy=False).view(np.uint8)[:, :nbits] >> 7
     u = np.zeros((count, N), dtype=np.uint8)
     u[:, cfg.code.info_indices] = crc_attach(payloads, cfg.crc) if cfg.crc else payloads
     return payloads, _channel_llrs(encode(u, cfg.code), sigma, noise)

@@ -77,6 +77,22 @@ def test_transform_matches_kronecker_reference(n, lead, seed):
     assert np.array_equal(polar_transform(x), u)
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_transform_on_input_layouts(n):
+    # the butterfly runs in place on a packed copy, so a reshape that copied
+    # for some input layout would lose its writes
+    N = 1 << n
+    u = np.random.default_rng(n).integers(0, 2, (6, 4, 2 * N), dtype=np.uint8)
+    c = np.ascontiguousarray(u[:, :, ::2])  # (B, P, N)
+    ref = polar_transform(c)
+    assert np.array_equal(ref, (c.astype(np.int64) @ kron_generator(n)) % 2)
+    layouts = {"F-ordered": np.asfortranarray(c), "strided slice": u[:, :, ::2],
+               "transposed view": np.ascontiguousarray(c.transpose(1, 0, 2)).transpose(1, 0, 2)}
+    for name, x in layouts.items():
+        assert not x.flags.c_contiguous and np.array_equal(x, c), name
+        assert np.array_equal(polar_transform(x), ref), name
+
+
 def test_f_step_zero_absorbs():
     for c in (-3.0, 0.0, 7.5):
         assert f_step(np.array([0.0, c]))[0] == pytest.approx(0.0)

@@ -35,6 +35,18 @@ def test_awgn_mean_scaling():
     assert llrs.std() == pytest.approx(std, rel=0.02)
 
 
+@pytest.mark.parametrize("shape", [(64,), (5, 32)])
+def test_awgn_matches_written_out_channel_and_keeps_x(shape):
+    # the channel step works in place on its noise; the caller's x stays
+    x = np.random.default_rng(4).integers(0, 2, shape).astype(np.float64)
+    x_before = x.copy()
+    sigma = 0.7
+    llrs = awgn_bpsk_llrs(x, sigma, np.random.default_rng(9))
+    noise = np.random.default_rng(9).normal(size=shape)
+    assert llrs.tobytes() == (2.0 * ((1.0 - 2.0 * x) + sigma * noise) / sigma**2).tobytes()
+    assert x.tobytes() == x_before.tobytes()
+
+
 def test_awgn_rejects_bad_sigma():
     with pytest.raises(ValueError):
         awgn_bpsk_llrs(np.zeros(4, np.uint8), 0.0, np.random.default_rng(0))
@@ -264,3 +276,29 @@ def test_batched_frames_across_key_masks(crc):
     assert wrapped[3:].tobytes() == _gen_frames(cfg, 0, 0, 5, sigma)[1].tobytes()
     masked = _gen_frames(cfg, 2**24 + 1, 0, 8, sigma)[1]
     assert masked.tobytes() == _gen_frames(cfg, 1, 0, 8, sigma)[1].tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 31, 33, 496, 512, 1000])
+def test_payload_bits_from_raw_words_match_integers(n):
+    # _gen_frames reads the payload bits of integers(0, 2, n, uint8) straight
+    # from its raw Philox words; an odd count of 32-bit draws (n mod 8 in
+    # 1..4) leaves half a word unused, and the normals start at the next word
+    key = np.array([0x0123456789ABCDEF, 0xFEDCBA9876543210], dtype=np.uint64)
+    a = np.random.Generator(np.random.Philox(key=key))
+    b = np.random.Generator(np.random.Philox(key=key))
+    ref_bits = a.integers(0, 2, n, dtype=np.uint8)
+    ref_noise = a.normal(size=40)
+    raw = b.bit_generator.random_raw(-(-n // 8))
+    bits = raw.astype("<u8").view(np.uint8)[:n] >> 7
+    assert bits.dtype == np.uint8 and bits.tobytes() == ref_bits.tobytes()
+    assert b.standard_normal(40).tobytes() == ref_noise.tobytes()
+
+
+def test_batched_frames_without_payload_bits():
+    # K = 0 under Es/N0: no payload words are drawn, only the noise
+    cfg = SimConfig(code=PolarCode(4, 0, np.zeros(16, dtype=np.uint8)), snr_unit="esn0", seed=6)
+    sigma = cfg.sigma_for(1.0)
+    payloads, llrs = _gen_frames(cfg, 2, 3, 5, sigma)
+    ref_payloads, ref_llrs = gen_frames_per_frame(cfg, 2, 3, 5, sigma)
+    assert payloads.shape == (5, 0) and ref_payloads.shape == (5, 0)
+    assert llrs.tobytes() == ref_llrs.tobytes()
