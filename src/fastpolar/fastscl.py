@@ -64,7 +64,7 @@ def _extend_serial(ps, alpha):
                     break
             a = a[run]
         src, bits = ps.fork(*_penalties(a))
-        beta = beta[:, ps.rows, src]
+        beta = beta.reshape(size, -1).take(src, axis=1)
         beta[i] = bits
         anc = ps.realign(anc, src)
         i += 1

@@ -24,7 +24,8 @@ class PathSet:
     node extension returns its survivors' ancestry, their rows when the node
     was entered (None when no row moved), and a recursion frame gathers what
     it kept from before a child through that child's ancestry only when it
-    resumes (``realign``).
+    resumes (``realign``).  An ancestry holds flat row indices ``b * P + p``
+    into the earlier (B·P) path axis, so each gather is one ``take``.
     """
 
     def __init__(self, B, L):
@@ -35,7 +36,7 @@ class PathSet:
         self.rows = np.arange(B)[:, None]
 
     def realign(self, arr, anc):
-        """Gather the rows of a (..., B, P_then) array through ancestry ``anc``.
+        """Gather a (..., B, P_then) array into a C-ordered (..., B, P_now) one.
 
         None on either side is the identity, so ``realign(first, then)`` of
         two ancestries composes them.
@@ -44,19 +45,20 @@ class PathSet:
             return arr
         if arr is None:
             return anc
-        return arr[..., self.rows, anc]
+        return arr.reshape(arr.shape[:-2] + (-1,)).take(anc, axis=-1)
 
     def fork(self, pen0, pen1):
         """Split every path on a binary decision and prune to L.
 
         pen0/pen1: (B, P) metric penalties for deciding 0/1.  Returns
-        (src, bits): for each surviving row, its pre-fork parent row and
-        the decided bit; ``src`` is the fork's ancestry.
+        (src, bits): for each surviving row, its pre-fork parent row (a flat
+        index into the B·P paths) and the decided bit; ``src`` is the fork's
+        ancestry.
         """
         cand = np.concatenate([self.pm + pen0, self.pm + pen1], axis=1)
         newP = min(2 * self.P, self.L)
         order = np.argsort(cand, axis=1, kind="stable")[:, :newP]
-        src = order % self.P
+        src = order % self.P + self.rows * self.P
         bits = (order >= self.P).astype(np.uint8)
         self.pm = cand[self.rows, order]
         self.P = newP

@@ -214,6 +214,21 @@ def test_zero_llr_tie_break_matches_sc():
     assert np.array_equal(fast_ssc_decode_batch(llrs, classify(code), minsum=True)[0], u_ref)
 
 
+@pytest.mark.xfail(strict=True, reason="an overflowed g-sum (inf - inf) is NaN; SC's f/g spreads "
+                   "it over a Rate-1 node's later leaves, the node-root decision does not")
+def test_overflowing_llrs_match_sc():
+    # finite LLRs near the float maximum: the right half's g-sums overflow to
+    # -inf and +inf, and the next g-step gives [NaN, -1e307] at the last
+    # Rate-1 node; SC decides both leaves 0 through the NaN, while the node's
+    # hard decision gives x = [0, 1]
+    code = make_code([0, 0, 0, 0, 0, 0, 1, 1])
+    llrs = np.array([[-0.9, 1.0, 1.0, 0.5, -1.0, -0.7, 0.9, -0.9]]) * 1e308
+    with np.errstate(over="ignore", invalid="ignore"):
+        u_ref, _ = sc_descent_batch(llrs, code, minsum=True)
+        u, _ = fast_ssc_decode_batch(llrs, classify(code), minsum=True)
+    assert np.array_equal(u, u_ref)
+
+
 def test_parity_soundness_of_encoder_on_gpc():
     # every codeword restricted to a parity-check node satisfies all Np
     # stride parities

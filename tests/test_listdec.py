@@ -172,10 +172,10 @@ def test_scl_equals_descent_oracle(n, seed, L, minsum):
 def test_realign_reuses_composed_lineage(seed, B, L):
     # random fork maps under a random recursion tree; every frame returns
     # its ancestry composed by realign, as the walker does, and each realign
-    # through it must equal composing the original maps one by one
+    # through it must equal composing the original per-frame maps one by one
     rng = np.random.default_rng(seed)
     ps = PathSet(B, L)
-    events = []  # every fork map, in order
+    events = []  # every fork map, in order, as per-frame parent rows
 
     def expected(arr, ev):
         idx = np.broadcast_to(np.arange(ps.P), (B, ps.P))
@@ -194,8 +194,10 @@ def test_realign_reuses_composed_lineage(seed, B, L):
             for _ in range(rng.integers(0, 4)):
                 new_p = int(rng.integers(1, L + 1))
                 events.append(rng.integers(0, ps.P, (B, new_p)))
+                # an ancestry holds flat indices into the (B·P) path axis
+                flat = events[-1] + ps.rows * ps.P
                 ps.P = new_p
-                anc = ps.realign(anc, events[-1])
+                anc = ps.realign(anc, flat)
                 # a Rate-1 node reads each column through its ancestry so far
                 check(arr, anc, ev)
             check(arr, anc, ev)
@@ -240,7 +242,8 @@ def test_noop_predicate_agrees_with_fork(seed, B, L, full):
     # tie-heavy (pm, a): small integers, repeated metrics, zero LLRs, rows
     # sometimes out of order, P at or below L.  Wherever the predicate says
     # no-op, the real fork keeps every row in place with its hard decision
-    # and its metric; this checks row order, which canon_paths does not see
+    # and its metric; this checks row order, which canon_paths does not see.
+    # The identity ancestry is each row's own flat index into the B·P paths
     rng = np.random.default_rng(seed)
     ps = PathSet(B, L)
     ps.P = L if full else int(rng.integers(1, L + 1))
@@ -254,7 +257,7 @@ def test_noop_predicate_agrees_with_fork(seed, B, L, full):
     for j in np.flatnonzero(noop):
         col = a[:, :, j]
         src, bits = ps.fork(np.where(col < 0, -col, 0.0), np.where(col >= 0, col, 0.0))
-        assert np.array_equal(src, np.broadcast_to(np.arange(ps.P), (B, ps.P)))
+        assert np.array_equal(src, ps.rows * ps.P + np.arange(ps.P))
         assert np.array_equal(bits, col < 0)
         assert np.array_equal(ps.pm, pm)
 
