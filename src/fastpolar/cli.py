@@ -50,8 +50,7 @@ def cmd_encode(args):
 def cmd_decode(args):
     code = load_descriptor(args.code)
     llrs = _read_vector(sys.stdin)
-    decode = batch_decoder(args.algo, code, _node_options(args), args.list,
-                           crc_by_name(args.crc), args.minsum)
+    decode = batch_decoder(args.algo, code, _node_options(args), args.list, crc_by_name(args.crc))
     _write_vector(sys.stdout, decode(llrs[None, :])[0], "%d")
 
 
@@ -121,7 +120,6 @@ def build_parser():
     p.add_argument("--algo", choices=list(DECODERS), default="sc")
     p.add_argument("--list", type=int, default=4)
     p.add_argument("--crc", choices=list(CRC_NAMES), default="none")
-    p.add_argument("--minsum", action="store_true")
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("classify", parents=[nodes], help="print the pruned decode tree")

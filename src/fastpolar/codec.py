@@ -4,7 +4,8 @@ The soft-value operations work on the leading axis, positions first, so
 that the same routines serve single frames, (size, B) frame batches and
 (size, B, P) per-path arrays in list decoding, and each step's two halves
 are contiguous blocks.  A node owning 2^t LLRs consumes its parent's
-2^(t+1) values through ``f_step``/``g_step``.
+2^(t+1) values through ``f_step``/``g_step``, whose f-update is min-sum:
+the rule under which the fast node decoders reproduce SC.
 """
 
 import numpy as np
@@ -13,9 +14,6 @@ from .classify import leaves_only_plan
 
 __all__ = ["encode", "polar_transform", "f_step", "g_step", "combine", "sc_decode",
            "sc_decode_batch"]
-
-# arctanh argument clamp; keeps the exact f-function finite at +-1
-_ATANH_CLIP = 1.0 - 2.0**-52
 
 
 def _butterfly(x, h):
@@ -63,19 +61,16 @@ def encode(u, code):
     return polar_transform(u)
 
 
-def f_step(alpha, minsum=False):
-    """Soft update for the left child; halves the leading axis."""
+def f_step(alpha):
+    """Min-sum soft update for the left child; halves the leading axis."""
     alpha = np.asarray(alpha, dtype=np.float64)
     m = alpha.shape[0] // 2
     if alpha.shape[0] != 2 * m:
         raise ValueError("f_step needs an even-length LLR vector")
     a, b = alpha[:m], alpha[m:]
-    if minsum:
-        # sign(a) sign(b) min(|a|, |b|) in fewer passes; only the sign of a
-        # zero can differ.  sign(a) * b, unlike a * b, cannot overflow
-        return np.copysign(np.minimum(np.abs(a), np.abs(b)), np.sign(a) * b)
-    prod = np.tanh(a / 2.0) * np.tanh(b / 2.0)
-    return 2.0 * np.arctanh(np.clip(prod, -_ATANH_CLIP, _ATANH_CLIP))
+    # sign(a) sign(b) min(|a|, |b|) in fewer passes; only the sign of a
+    # zero can differ.  sign(a) * b, unlike a * b, cannot overflow
+    return np.copysign(np.minimum(np.abs(a), np.abs(b)), np.sign(a) * b)
 
 
 def g_step(alpha, beta_left):
@@ -96,9 +91,13 @@ def combine(beta_left, beta_right):
     return np.concatenate([bl ^ br, br])
 
 
-def _llr_batch(channel_llrs, N):
+def _llr_batch(channel_llrs, N, minsum):
     """Channel LLRs as a finite, C-contiguous float (N, B) array, positions
-    first, as the walkers take them; one frame becomes a batch of one."""
+    first, as the walkers take them; one frame becomes a batch of one.
+    The entry points' f-rule keyword is checked here, once."""
+    if type(minsum) not in (bool, np.bool_) or not minsum:
+        raise ValueError(f"minsum must be True, got {minsum!r}: the exact f-update was "
+                         f"removed, and every decoder uses min-sum")
     alpha = np.asarray(channel_llrs, dtype=np.float64)
     if alpha.ndim not in (1, 2):
         raise ValueError(f"expected a (B, {N}) batch or one frame of {N} LLRs, "
@@ -134,8 +133,8 @@ def sc_decode_batch(channel_llrs, code, minsum=True):
     """
     from .fastsc import _decode_node
 
-    alpha = _llr_batch(channel_llrs, code.N)
-    x_hat = _frames_first(_decode_node(alpha, leaves_only_plan(code), minsum))
+    alpha = _llr_batch(channel_llrs, code.N, minsum)
+    x_hat = _frames_first(_decode_node(alpha, leaves_only_plan(code)))
     return polar_transform(x_hat), x_hat
 
 

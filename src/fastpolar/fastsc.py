@@ -47,11 +47,11 @@ def wagner_decode(alpha):
     return beta
 
 
-def decode_grep_sc(alpha, plan, minsum=True):
+def decode_grep_sc(alpha, plan):
     """Decode a G-Rep node: fold, decode the Rate-C child, tile."""
     alpha = np.asarray(alpha, dtype=np.float64)
     p = plan.rate_c.stage
-    beta_rc = _decode_node(grep_fold(alpha, p), plan.rate_c, minsum)
+    beta_rc = _decode_node(grep_fold(alpha, p), plan.rate_c)
     return np.concatenate([beta_rc] * (alpha.shape[0] >> p))
 
 
@@ -66,40 +66,40 @@ def decode_gpc_sc(alpha, np_sub):
     return beta.reshape(alpha.shape)
 
 
-def _decode_rep(alpha, plan, minsum):
+def _decode_rep(alpha, plan):
     # fold by halving g-steps, in the order SC adds the LLRs up
     bit = (grep_fold(alpha, 0) < 0).astype(np.uint8)
     return np.broadcast_to(bit, alpha.shape).copy()
 
 
-def _decode_split(alpha, plan, minsum):
-    bl = _decode_node(f_step(alpha, minsum), plan.left, minsum)
-    br = _decode_node(g_step(alpha, bl), plan.right, minsum)
+def _decode_split(alpha, plan):
+    bl = _decode_node(f_step(alpha), plan.left)
+    br = _decode_node(g_step(alpha, bl), plan.right)
     return combine(bl, br)
 
 
-# node kind -> decoder(alpha, plan, minsum) returning the node's partial
-# sums; the lambdas look module names up per call, so a wrapper installed
-# on e.g. ``fastsc.wagner_decode`` sees every node that uses it
+# node kind -> decoder(alpha, plan) returning the node's partial sums; the
+# lambdas look module names up per call, so a wrapper installed on e.g.
+# ``fastsc.wagner_decode`` sees every node that uses it
 _NODE_DECODERS = {
-    "rate0": lambda alpha, plan, minsum: np.zeros(alpha.shape, dtype=np.uint8),
-    "rate1": lambda alpha, plan, minsum: (alpha < 0).astype(np.uint8),
+    "rate0": lambda alpha, plan: np.zeros(alpha.shape, dtype=np.uint8),
+    "rate1": lambda alpha, plan: (alpha < 0).astype(np.uint8),
     "rep": _decode_rep,
-    "grep": lambda alpha, plan, minsum: decode_grep_sc(alpha, plan, minsum),
+    "grep": lambda alpha, plan: decode_grep_sc(alpha, plan),
     # SPC is G-PC with Np = 1; RG-PC decodes as G-PC, ignoring its AF bits
     **dict.fromkeys(("spc", "gpc", "rgpc"),
-                    lambda alpha, plan, minsum: decode_gpc_sc(alpha, plan.np_sub)),
+                    lambda alpha, plan: decode_gpc_sc(alpha, plan.np_sub)),
     "split": _decode_split,
 }
 
 
-def _decode_node(alpha, plan, minsum):
-    return _NODE_DECODERS[plan.kind](alpha, plan, minsum)
+def _decode_node(alpha, plan):
+    return _NODE_DECODERS[plan.kind](alpha, plan)
 
 
 def fast_ssc_decode_batch(channel_llrs, plan, minsum=True):
     """Fast-SSC decode a (B, N) LLR batch; returns (u_hat, x_hat)."""
-    x_hat = _frames_first(_decode_node(_llr_batch(channel_llrs, plan.size), plan, minsum))
+    x_hat = _frames_first(_decode_node(_llr_batch(channel_llrs, plan.size, minsum), plan))
     return polar_transform(x_hat), x_hat
 
 

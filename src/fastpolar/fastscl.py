@@ -2,10 +2,10 @@
 
 Rate-0, Rep and Rate-1 nodes extend the path set at the node root; G-Rep
 folds its LLRs onto the Rate-C child; SPC, G-PC and RG-PC are walked as
-split shapes of Rate-0 and Rate-1 nodes (SPC is G-PC with Np = 1).  With
-the min-sum f-update the surviving path set (bit histories and metrics)
-matches tree-descent SCL for every node kind except RG-PC, whose metrics
-are exact only for a descent that ignores its AF bits.
+split shapes of Rate-0 and Rate-1 nodes (SPC is G-PC with Np = 1).  The
+surviving path set (bit histories and metrics) matches tree-descent SCL
+for every node kind except RG-PC, whose metrics are exact only for a
+descent that ignores its AF bits.
 Plain SCL is this walker on the leaves-only plan.
 """
 
@@ -77,16 +77,16 @@ def _extend_rep(ps, alpha):
     return np.repeat(bits[None], alpha.shape[0], axis=0), src
 
 
-def _extend_grep(ps, alpha, plan, minsum):
+def _extend_grep(ps, alpha, plan):
     # fold through the all-frozen left siblings, charging their Rate-0
     # penalties level by level
     size = alpha.shape[0]
     p = plan.rate_c.stage
     while alpha.shape[0] > (1 << p):
         half = alpha.shape[0] // 2
-        ps.penalize(_relu_neg(f_step(alpha, minsum)).sum(axis=0))
+        ps.penalize(_relu_neg(f_step(alpha)).sum(axis=0))
         alpha = alpha[half:] + alpha[:half]
-    beta_rc, anc = _extend_node(ps, alpha, plan.rate_c, minsum)
+    beta_rc, anc = _extend_node(ps, alpha, plan.rate_c)
     return np.concatenate([beta_rc] * (size >> p)), anc
 
 
@@ -105,36 +105,36 @@ def _parity_shape(stage, np_sub):
                       right=DecodePlan("rate1", stage - 1, 0))
 
 
-def _extend_split(ps, alpha, plan, minsum):
-    bl, anc_l = _extend_node(ps, f_step(alpha, minsum), plan.left, minsum)
-    br, anc_r = _extend_node(ps, g_step(ps.realign(alpha, anc_l), bl), plan.right, minsum)
+def _extend_split(ps, alpha, plan):
+    bl, anc_l = _extend_node(ps, f_step(alpha), plan.left)
+    br, anc_r = _extend_node(ps, g_step(ps.realign(alpha, anc_l), bl), plan.right)
     return combine(ps.realign(bl, anc_r), br), ps.realign(anc_l, anc_r)
 
 
-# node kind -> extension(ps, alpha, plan, minsum) of (size, B, P) LLRs,
+# node kind -> extension(ps, alpha, plan) of (size, B, P) LLRs,
 # returning the (size, B, P) partial sums of the surviving paths and their
 # ancestry: each survivor's row at node entry, or None when no row moved
 _NODE_EXTENDERS = {
-    "rate0": lambda ps, alpha, plan, minsum: _extend_rate0(ps, alpha),
-    "rate1": lambda ps, alpha, plan, minsum: _extend_serial(ps, alpha),
-    "rep": lambda ps, alpha, plan, minsum: _extend_rep(ps, alpha),
+    "rate0": lambda ps, alpha, plan: _extend_rate0(ps, alpha),
+    "rate1": lambda ps, alpha, plan: _extend_serial(ps, alpha),
+    "rep": lambda ps, alpha, plan: _extend_rep(ps, alpha),
     "grep": _extend_grep,
-    **dict.fromkeys(("spc", "gpc", "rgpc"), lambda ps, alpha, plan, minsum: _extend_split(
-        ps, alpha, _parity_shape(plan.stage, plan.np_sub), minsum)),
+    **dict.fromkeys(("spc", "gpc", "rgpc"), lambda ps, alpha, plan: _extend_split(
+        ps, alpha, _parity_shape(plan.stage, plan.np_sub))),
     "split": _extend_split,
 }
 
 
-def _extend_node(ps, alpha, plan, minsum):
-    return _NODE_EXTENDERS[plan.kind](ps, alpha, plan, minsum)
+def _extend_node(ps, alpha, plan):
+    return _NODE_EXTENDERS[plan.kind](ps, alpha, plan)
 
 
-def _decode_paths(alpha, plan, L, minsum):
+def _decode_paths(alpha, plan, L):
     """Walk ``plan`` over (N, B) LLRs; returns (u (B, P, N), pm) sorted by metric."""
     if L < 1:
         raise ValueError("list size must be >= 1")
     ps = PathSet(alpha.shape[1], L)
-    beta, _ = _extend_node(ps, alpha[:, :, None], plan, minsum)
+    beta, _ = _extend_node(ps, alpha[:, :, None], plan)
     order = np.argsort(ps.pm, axis=1, kind="stable")
     # a gather on the leading axes of (B, P, N) is a C-contiguous batch
     return polar_transform(beta.transpose(1, 2, 0)[ps.rows, order]), ps.pm[ps.rows, order]
@@ -142,7 +142,7 @@ def _decode_paths(alpha, plan, L, minsum):
 
 def fast_scl_decode_paths_batch(channel_llrs, plan, L, minsum=True):
     """Batched fast SCL; returns (u (B, P, N), pm (B, P)) sorted by metric."""
-    return _decode_paths(_llr_batch(channel_llrs, plan.size), plan, L, minsum)
+    return _decode_paths(_llr_batch(channel_llrs, plan.size, minsum), plan, L)
 
 
 def fast_scl_decode_batch(channel_llrs, code, plan, L, crc=None, minsum=True):
@@ -153,6 +153,6 @@ def fast_scl_decode_batch(channel_llrs, code, plan, L, crc=None, minsum=True):
 
 def fast_scl_decode(channel_llrs, code, plan, L, crc=None, minsum=True):
     """Fast SCL decode of one frame; returns (u_hat, pm)."""
-    u_hat, pm = fast_scl_decode_batch(_one_frame(channel_llrs, plan.size), code, plan, L, crc,
-                                      minsum)
+    llrs = _one_frame(channel_llrs, plan.size)
+    u_hat, pm = fast_scl_decode_batch(llrs, code, plan, L, crc, minsum)
     return u_hat[0], float(pm[0])

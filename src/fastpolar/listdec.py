@@ -91,7 +91,7 @@ def scl_decode_paths_batch(channel_llrs, code, L, minsum=True):
     """
     from .fastscl import _decode_paths
 
-    return _decode_paths(_llr_batch(channel_llrs, code.N), leaves_only_plan(code), L, minsum)
+    return _decode_paths(_llr_batch(channel_llrs, code.N, minsum), leaves_only_plan(code), L)
 
 
 def select_output(u, pm, code, crc=None):

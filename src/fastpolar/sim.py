@@ -30,18 +30,14 @@ __all__ = ["DECODERS", "SimConfig", "SimPoint", "SimResult", "awgn_bpsk_llrs", "
            "batch_decoder", "load_sim_config"]
 
 # decoder name -> (whether it walks the classified plan, batch call
-# (llrs, code, plan, L, crc, minsum) -> u_hat); the lambdas look the entry
-# points up per call, so a wrapper installed on this module's names sees
-# every decode
+# (llrs, code, plan, L, crc) -> u_hat); the lambdas look the entry points
+# up per call, so a wrapper installed on this module's names sees every decode
 DECODERS = {
-    "sc": (False, lambda llrs, code, plan, L, crc, minsum:
-           sc_decode_batch(llrs, code, minsum=minsum)[0]),
-    "fastssc": (True, lambda llrs, code, plan, L, crc, minsum:
-                fast_ssc_decode_batch(llrs, plan, minsum=minsum)[0]),
-    "scl": (False, lambda llrs, code, plan, L, crc, minsum:
-            scl_decode_batch(llrs, code, L, crc, minsum=minsum)[0]),
-    "ssclspc": (True, lambda llrs, code, plan, L, crc, minsum:
-                fast_scl_decode_batch(llrs, code, plan, L, crc, minsum=minsum)[0]),
+    "sc": (False, lambda llrs, code, plan, L, crc: sc_decode_batch(llrs, code)[0]),
+    "fastssc": (True, lambda llrs, code, plan, L, crc: fast_ssc_decode_batch(llrs, plan)[0]),
+    "scl": (False, lambda llrs, code, plan, L, crc: scl_decode_batch(llrs, code, L, crc)[0]),
+    "ssclspc": (True, lambda llrs, code, plan, L, crc:
+                fast_scl_decode_batch(llrs, code, plan, L, crc)[0]),
 }
 
 
@@ -79,13 +75,16 @@ class SimConfig:
     min_errors: int = 100
     max_frames: int = 1_000_000
     seed: int = 0
-    minsum: bool = True
+    minsum: bool = True  # the only f-update; False is refused
     batch: int = 1024
 
     def __post_init__(self):
         if not isinstance(self.decoder, str) or self.decoder not in DECODERS:
             raise ValueError(f"decoder must be one of {tuple(DECODERS)}")
         check_field_types(self)
+        if not self.minsum:
+            raise ValueError("minsum must be true: the exact f-update was removed, "
+                             "and every decoder uses min-sum")
         for name in ("list_size", "min_errors", "max_frames", "batch"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -192,12 +191,12 @@ def _frame_rng(seed, snr_idx, frame_idx):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def batch_decoder(name, code, opts, L, crc, minsum):
+def batch_decoder(name, code, opts, L, crc):
     """The (B, N) LLRs -> (B, N) u_hat call of decoder ``name``; the fast
     decoders classify ``code`` under ``opts`` once, here."""
     fast, call = DECODERS[name]
     plan = classify(code, opts) if fast else None
-    return lambda llrs: call(llrs, code, plan, L, crc, minsum)
+    return lambda llrs: call(llrs, code, plan, L, crc)
 
 
 def _gen_frames(cfg, snr_idx, start, count, sigma):
@@ -230,8 +229,7 @@ def _gen_frames(cfg, snr_idx, start, count, sigma):
 
 def run_bler(cfg):
     """Run the Monte-Carlo sweep described by ``cfg``."""
-    decode = batch_decoder(cfg.decoder, cfg.code, cfg.plan_options(), cfg.list_size,
-                           cfg.crc, cfg.minsum)
+    decode = batch_decoder(cfg.decoder, cfg.code, cfg.plan_options(), cfg.list_size, cfg.crc)
     info = cfg.code.info_indices
     nbits = cfg.payload_bits
     result = SimResult(config_label=cfg.decoder)

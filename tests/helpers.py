@@ -6,22 +6,15 @@ from fastpolar.codec import encode, polar_transform
 from fastpolar.crc import crc_bits
 from fastpolar.sim import _frame_rng
 
-# arctanh argument clamp of the exact f, as in the library
-_ATANH_CLIP = 1.0 - 2.0**-52
-
-
 # The descent oracles' own f/g/combine kernels, written as the textbook
 # formulas on the trailing axis, so that a change to ``codec.f_step``,
 # ``g_step`` or ``combine`` cannot change the reference the fast walkers are
 # checked against.
-def f_step(alpha, minsum=False):
+def f_step(alpha):
     alpha = np.asarray(alpha, dtype=np.float64)
     m = alpha.shape[-1] // 2
     a, b = alpha[..., :m], alpha[..., m:]
-    if minsum:
-        return np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
-    prod = np.tanh(a / 2.0) * np.tanh(b / 2.0)
-    return 2.0 * np.arctanh(np.clip(prod, -_ATANH_CLIP, _ATANH_CLIP))
+    return np.sign(a) * np.sign(b) * np.minimum(np.abs(a), np.abs(b))
 
 
 def g_step(alpha, beta_left):
@@ -43,7 +36,7 @@ def kron_generator(n):
     return out
 
 
-def path_metric_of(llrs, u, minsum=True):
+def path_metric_of(llrs, u):
     """Leaf-by-leaf metric of a fixed bit history: |alpha| wherever the
     decision disagrees with the hard decision, summed over the tree."""
 
@@ -52,7 +45,7 @@ def path_metric_of(llrs, u, minsum=True):
             return abs(alpha[0]) if bits[0] != (alpha[0] < 0) else 0.0
         half = len(bits) // 2
         bl = polar_transform(bits[:half].copy())
-        return rec(f_step(alpha, minsum), bits[:half]) + rec(g_step(alpha, bl), bits[half:])
+        return rec(f_step(alpha), bits[:half]) + rec(g_step(alpha, bl), bits[half:])
 
     return rec(np.asarray(llrs, dtype=np.float64), np.asarray(bits_array(u), dtype=np.uint8))
 
@@ -103,7 +96,7 @@ def wagner_per_row(alpha):
     return out.reshape(alpha.shape)
 
 
-def sc_descent_batch(llrs, code, minsum=False):
+def sc_descent_batch(llrs, code):
     """Reference plain SC: recursive tree descent, deciding each leaf in turn.
 
     Returns (u_hat, x_hat) for a (B, N) batch.
@@ -122,7 +115,7 @@ def sc_descent_batch(llrs, code, minsum=False):
             u_hat[:, lo] = bit
             return bit[:, None]
         half = size // 2
-        bl = descend(f_step(a, minsum), lo, half)
+        bl = descend(f_step(a), lo, half)
         br = descend(g_step(a, bl), lo + half, half)
         return combine(bl, br)
 
@@ -183,7 +176,7 @@ class _DescentPaths:
         return u
 
 
-def scl_descent_paths_batch(llrs, code, L, minsum=False):
+def scl_descent_paths_batch(llrs, code, L):
     """Reference SCL: tree descent forking at every information leaf.
 
     Returns (u, pm): (B, P, N) bit histories and (B, P) metrics, rows
@@ -206,7 +199,7 @@ def scl_descent_paths_batch(llrs, code, L, minsum=False):
             return bits[:, :, None]
         half = size // 2
         gen = len(ps.maps)
-        bl = descend(f_step(a, minsum), lo, half)
+        bl = descend(f_step(a), lo, half)
         a = ps.realign(a, gen)
         gen_r = len(ps.maps)
         br = descend(g_step(a, bl), lo + half, half)

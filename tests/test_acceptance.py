@@ -93,8 +93,8 @@ def test_criterion_2_fast_sc_bit_exact():
         for num, den in RATES:
             code = construct_code(n, round(N * num / den), 0.5)
             llrs = random_frames(code, 10_000, 0.9, rng)
-            u_sc, _ = sc_descent_batch(llrs, code, minsum=True)
-            u_f, _ = fast_ssc_decode_batch(llrs, classify(code, GEN), minsum=True)
+            u_sc, _ = sc_descent_batch(llrs, code)
+            u_f, _ = fast_ssc_decode_batch(llrs, classify(code, GEN))
             bad += int((u_sc != u_f).any(axis=1).sum())
     dt = time.perf_counter() - t0
     report("criterion 2 fast SC exactness", bad == 0 and dt < 300.0,
@@ -112,8 +112,8 @@ def test_criterion_3_fast_scl_matches_descent():
         plan = classify(code, GEN)
         for L in (2, 4, 8):
             llrs = random_frames(code, 1000, 0.9, rng)
-            u_r, pm_r = scl_descent_paths_batch(llrs, code, L, minsum=True)
-            u_f, pm_f = fast_scl_decode_paths_batch(llrs, plan, L, minsum=True)
+            u_r, pm_r = scl_descent_paths_batch(llrs, code, L)
+            u_f, pm_f = fast_scl_decode_paths_batch(llrs, plan, L)
             for b in range(1000):
                 ref = sorted((float(p), tuple(int(x) for x in row))
                              for p, row in zip(pm_r[b], u_r[b]))
@@ -212,7 +212,7 @@ def test_criterion_7_no_loss():
     t0 = time.perf_counter()
     code = construct_code(10, 512, 0.5)
     shared = dict(code=code, snr_db=(2.0,), min_errors=10**9, max_frames=10_000,
-                  seed=7, batch=2000, minsum=True)
+                  seed=7, batch=2000)
     sweeps = [dict(), dict(enable_grep=True), dict(enable_grep=True, enable_gpc=True)]
     diffs = []
 

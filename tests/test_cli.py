@@ -8,7 +8,7 @@ from fastpolar.classify import PlanOptions, classify
 from fastpolar.cli import main
 from fastpolar.codec import encode, sc_decode
 from fastpolar.construction import construct_code, load_descriptor, save_descriptor
-from fastpolar.crc import crc_by_name
+from fastpolar.crc import CRC8, crc_attach, crc_by_name
 from fastpolar.fastsc import fast_ssc_decode
 from fastpolar.fastscl import fast_scl_decode
 from fastpolar.listdec import scl_decode
@@ -53,7 +53,7 @@ def test_decode_noiseless(code_file, monkeypatch, capsys, algo, extra):
     u[code.info_indices] = np.random.default_rng(1).integers(0, 2, 16, dtype=np.uint8)
     llrs = (1.0 - 2.0 * encode(u.copy(), code)) * 6.0
     feed(monkeypatch, " ".join("%g" % v for v in llrs))
-    main(["decode", "--code", str(code_file), "--algo", algo, "--minsum"] + extra)
+    main(["decode", "--code", str(code_file), "--algo", algo] + extra)
     out = np.array(capsys.readouterr().out.split(), np.uint8)
     assert np.array_equal(out, u)
 
@@ -70,22 +70,42 @@ def test_decode_matches_library(code_file, monkeypatch, capsys, algo, nodes):
     plan = classify(code, NODE_SETS[nodes])
     crcs = ["none", "crc8"] if algo in ("scl", "ssclspc") else ["none"]
     rng = np.random.default_rng(7)
-    for minsum in (False, True):
-        for crc in crcs:
-            u = np.zeros(32, np.uint8)
-            u[code.info_indices] = rng.integers(0, 2, 16, dtype=np.uint8)
-            llrs = 2.0 * ((1.0 - 2.0 * encode(u, code)) + 1.2 * rng.normal(size=32)) / 1.44
-            spec = crc_by_name(crc)
-            ref = {"sc": lambda: sc_decode(llrs, code, minsum),
-                   "fastssc": lambda: fast_ssc_decode(llrs, plan, minsum),
-                   "scl": lambda: scl_decode(llrs, code, 4, spec, minsum),
-                   "ssclspc": lambda: fast_scl_decode(llrs, code, plan, 4, spec, minsum)}
+    for crc in crcs:
+        u = np.zeros(32, np.uint8)
+        u[code.info_indices] = rng.integers(0, 2, 16, dtype=np.uint8)
+        llrs = 2.0 * ((1.0 - 2.0 * encode(u, code)) + 1.2 * rng.normal(size=32)) / 1.44
+        spec = crc_by_name(crc)
+        ref = {"sc": lambda: sc_decode(llrs, code),
+               "fastssc": lambda: fast_ssc_decode(llrs, plan),
+               "scl": lambda: scl_decode(llrs, code, 4, spec),
+               "ssclspc": lambda: fast_scl_decode(llrs, code, plan, 4, spec)}
+        feed(monkeypatch, " ".join(repr(float(v)) for v in llrs))
+        main(["decode", "--code", str(code_file), "--algo", algo, "--nodes", nodes,
+              "--list", "4", "--crc", crc] + ["--max-af", "2"] * (nodes == "rgpc"))
+        out = np.array(capsys.readouterr().out.split(), np.uint8)
+        assert np.array_equal(out, ref[algo]()[0]), crc
+
+
+def test_plain_and_fast_decoders_agree_by_default(tmp_path, monkeypatch, capsys):
+    # with no f-rule option, each fast decoder gives its plain twin's bits on
+    # noisy frames: sc/fastssc, and scl/ssclspc at L=4 with CRC8
+    path = tmp_path / "code.json"
+    main(["construct", "-n", "8", "-K", "128", "--sigma", "0.9", "--out", str(path)])
+    code = load_descriptor(path)
+    rng = np.random.default_rng(15)
+    for frame in range(30):
+        u = np.zeros(256, np.uint8)
+        u[code.info_indices] = crc_attach(rng.integers(0, 2, 120, dtype=np.uint8), CRC8)
+        llrs = 2.0 * ((1.0 - 2.0 * encode(u, code)) + 0.9 * rng.normal(size=256)) / 0.81
+        capsys.readouterr()
+        out = {}
+        for algo in ("sc", "fastssc", "scl", "ssclspc"):
             feed(monkeypatch, " ".join(repr(float(v)) for v in llrs))
-            main(["decode", "--code", str(code_file), "--algo", algo, "--nodes", nodes,
-                  "--list", "4", "--crc", crc]
-                 + ["--max-af", "2"] * (nodes == "rgpc") + ["--minsum"] * minsum)
-            out = np.array(capsys.readouterr().out.split(), np.uint8)
-            assert np.array_equal(out, ref[algo]()[0]), (minsum, crc)
+            main(["decode", "--code", str(path), "--algo", algo, "--nodes", "gpc",
+                  "--list", "4", "--crc", "crc8"])
+            out[algo] = capsys.readouterr().out
+        assert out["sc"] == out["fastssc"], frame
+        assert out["scl"] == out["ssclspc"], frame
 
 
 def _bad_inputs(tmp_path):
@@ -136,6 +156,10 @@ def _bad_inputs(tmp_path):
         "sim-no-code-path": (simulate("nocode", code=None), "", "a 'code' descriptor path"),
         "sim-ebn0-without-payload": (simulate("ebn0", code="k0.json"), "",
                                      "'ebn0' needs payload bits"),
+        "sim-minsum-false": (simulate("minsum", minsum=False), "",
+                             "the exact f-update was removed"),
+        "decode-minsum-flag": (["decode", *k8, "--minsum"], llrs,
+                               "unrecognized arguments: --minsum"),
         **{f"encode-{v}": encode_with(v) for v in ("2", "-1", "256", "0.5")},
         "desc-no-n": (*decode_with("non", {"K": 4, "frozen_indices": [0, 1, 2, 4]}),
                       "a JSON object with 'n' and 'frozen_indices'"),
@@ -166,6 +190,7 @@ def _bad_inputs(tmp_path):
                                   "encode-frozen-one", "missing-code-file",
                                   "sim-list-size-2.5", "sim-scalar-snr", "sim-batch-string",
                                   "sim-grep-no", "sim-no-code-path", "sim-ebn0-without-payload",
+                                  "sim-minsum-false", "decode-minsum-flag",
                                   "encode-2", "encode--1", "encode-256", "encode-0.5",
                                   "desc-no-n", "desc-list", "desc-no-frozen", "desc-frozen-int",
                                   "desc-sigma-null", "sim-crc-bogus", "sim-crc-width-x",

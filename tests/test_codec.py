@@ -98,17 +98,10 @@ def test_f_step_zero_absorbs():
         assert f_step(np.array([0.0, c]))[0] == pytest.approx(0.0)
 
 
-def test_f_step_numeric_value():
-    out = f_step(np.array([2.0, 3.0]))
-    assert out[0] == pytest.approx(1.6936, abs=1e-3)
-    out = f_step(np.array([-2.0, 3.0]))
-    assert out[0] == pytest.approx(-1.6936, abs=1e-3)
-
-
 def test_f_step_minsum():
-    out = f_step(np.array([-2.0, 3.0]), minsum=True)
+    out = f_step(np.array([-2.0, 3.0]))
     assert out[0] == pytest.approx(-2.0)
-    out = f_step(np.array([5.0, -1.5]), minsum=True)
+    out = f_step(np.array([5.0, -1.5]))
     assert out[0] == pytest.approx(-1.5)
 
 
@@ -121,7 +114,7 @@ def test_f_step_finite_on_huge_inputs():
 @settings(max_examples=200, deadline=None)
 def test_f_step_minsum_structure(vals):
     a, b = vals
-    out = float(f_step(np.array([a, b]), minsum=True)[0])
+    out = float(f_step(np.array([a, b]))[0])
     assert out == pytest.approx(np.sign(a) * np.sign(b) * min(abs(a), abs(b)))
 
 
@@ -137,8 +130,8 @@ def test_f_step_minsum_matches_sign_product_on_hostile_values():
     for alpha in (np.stack([a.ravel(), b.ravel()], axis=-1),
                   *(g * scale for scale in (1.0, 1e-170, 1e200))):
         with np.errstate(invalid="ignore"):  # sign(0) * inf: a NaN sign for a zero
-            got = np.moveaxis(f_step(np.moveaxis(alpha, -1, 0), minsum=True), 0, -1)
-        ref = helpers.f_step(alpha, minsum=True)
+            got = np.moveaxis(f_step(np.moveaxis(alpha, -1, 0)), 0, -1)
+        ref = helpers.f_step(alpha)
         assert np.array_equal(got, ref)  # by value: +0 == -0
         assert np.array_equal(got < 0, ref < 0)
 
@@ -159,13 +152,13 @@ def test_combine_examples():
 def test_sc_all_frozen_decodes_zero():
     code = construct_code(4, 0, 0.5)
     rng = np.random.default_rng(0)
-    u_hat, x_hat = sc_decode(rng.normal(size=16), code, minsum=False)
+    u_hat, x_hat = sc_decode(rng.normal(size=16), code)
     assert not u_hat.any() and not x_hat.any()
 
 
 def test_sc_hand_trace_two_bits():
     code = PolarCode(1, 2, np.array([1, 1], np.uint8), 0.5)
-    u_hat, _ = sc_decode(np.array([-1.0, 3.0]), code, minsum=False)
+    u_hat, _ = sc_decode(np.array([-1.0, 3.0]), code)
     assert u_hat.tolist() == [1, 0]
 
 
@@ -176,7 +169,7 @@ def test_sc_noiseless_round_trip(n, K):
     u = np.zeros((1000, code.N), np.uint8)
     u[:, code.info_indices] = rng.integers(0, 2, (1000, K), dtype=np.uint8)
     llrs = (1.0 - 2.0 * polar_transform(u)) * 4.0
-    u_hat, x_hat = sc_decode_batch(llrs, code, minsum=False)
+    u_hat, x_hat = sc_decode_batch(llrs, code)
     assert np.array_equal(u_hat, u)
     assert np.array_equal(x_hat, polar_transform(u_hat))
 
@@ -184,7 +177,7 @@ def test_sc_noiseless_round_trip(n, K):
 def test_sc_reencoding_consistency():
     code = construct_code(6, 40, 0.5)
     rng = np.random.default_rng(3)
-    u_hat, x_hat = sc_decode_batch(rng.normal(size=(200, 64)), code, minsum=False)
+    u_hat, x_hat = sc_decode_batch(rng.normal(size=(200, 64)), code)
     assert np.array_equal(x_hat, polar_transform(u_hat))
 
 
@@ -192,23 +185,23 @@ def test_sc_minsum_scale_invariance():
     code = construct_code(6, 32, 0.5)
     rng = np.random.default_rng(4)
     llrs = rng.normal(size=(300, 64)) * 2
-    base, _ = sc_decode_batch(llrs, code, minsum=True)
+    base, _ = sc_decode_batch(llrs, code)
     for c in (0.1, 3.0, 250.0):
-        scaled, _ = sc_decode_batch(c * llrs, code, minsum=True)
+        scaled, _ = sc_decode_batch(c * llrs, code)
         assert np.array_equal(base, scaled)
 
 
-@given(st.integers(0, 7), st.integers(0, 10 ** 6), st.booleans())
+@given(st.integers(0, 7), st.integers(0, 10 ** 6))
 @settings(max_examples=60, deadline=None)
-def test_sc_equals_descent_oracle(n, seed, minsum):
+def test_sc_equals_descent_oracle(n, seed):
     # plain SC is the plan walker on the leaves-only plan; the oracle is an
     # independent tree descent
     rng = np.random.default_rng(seed)
     flags = rng.integers(0, 2, 1 << n, dtype=np.uint8)
     code = PolarCode(n, int(flags.sum()), flags, 0.5)
     llrs = rng.normal(size=(20, code.N)) * 2
-    u_hat, x_hat = sc_decode_batch(llrs, code, minsum=minsum)
-    u_ref, x_ref = sc_descent_batch(llrs, code, minsum=minsum)
+    u_hat, x_hat = sc_decode_batch(llrs, code)
+    u_ref, x_ref = sc_descent_batch(llrs, code)
     assert np.array_equal(u_hat, u_ref) and np.array_equal(x_hat, x_ref)
 
 
@@ -227,17 +220,36 @@ def test_non_finite_llrs_rejected(bad):
 def _entry_points():
     code = construct_code(4, 8, 0.5)
     plan = classify(code, PlanOptions(enable_grep=True, enable_gpc=True))
-    single = {"sc_decode": lambda x: sc_decode(x, code),
-              "fast_ssc_decode": lambda x: fast_ssc_decode(x, plan),
-              "scl_decode": lambda x: scl_decode(x, code, 4),
-              "fast_scl_decode": lambda x: fast_scl_decode(x, code, plan, 4)}
-    batch = {"sc_decode_batch": lambda x: sc_decode_batch(x, code),
-             "fast_ssc_decode_batch": lambda x: fast_ssc_decode_batch(x, plan),
-             "scl_decode_batch": lambda x: scl_decode_batch(x, code, 4),
-             "scl_decode_paths_batch": lambda x: scl_decode_paths_batch(x, code, 4),
-             "fast_scl_decode_batch": lambda x: fast_scl_decode_batch(x, code, plan, 4),
-             "fast_scl_decode_paths_batch": lambda x: fast_scl_decode_paths_batch(x, plan, 4)}
+    single = {"sc_decode": lambda x, **kw: sc_decode(x, code, **kw),
+              "fast_ssc_decode": lambda x, **kw: fast_ssc_decode(x, plan, **kw),
+              "scl_decode": lambda x, **kw: scl_decode(x, code, 4, **kw),
+              "fast_scl_decode": lambda x, **kw: fast_scl_decode(x, code, plan, 4, **kw)}
+    batch = {"sc_decode_batch": lambda x, **kw: sc_decode_batch(x, code, **kw),
+             "fast_ssc_decode_batch": lambda x, **kw: fast_ssc_decode_batch(x, plan, **kw),
+             "scl_decode_batch": lambda x, **kw: scl_decode_batch(x, code, 4, **kw),
+             "scl_decode_paths_batch": lambda x, **kw: scl_decode_paths_batch(x, code, 4, **kw),
+             "fast_scl_decode_batch": lambda x, **kw: fast_scl_decode_batch(x, code, plan, 4,
+                                                                             **kw),
+             "fast_scl_decode_paths_batch": lambda x, **kw: fast_scl_decode_paths_batch(
+                 x, plan, 4, **kw)}
     return single, batch
+
+
+@pytest.mark.parametrize("name", ["sc_decode", "fast_ssc_decode", "scl_decode",
+                                  "fast_scl_decode", "sc_decode_batch", "fast_ssc_decode_batch",
+                                  "scl_decode_batch", "scl_decode_paths_batch",
+                                  "fast_scl_decode_batch", "fast_scl_decode_paths_batch"])
+def test_entry_points_accept_only_minsum(name):
+    # min-sum is the only f-update: the keyword refuses False instead of
+    # ignoring it, and True (as the benchmark passes it) is the default
+    single, batch = _entry_points()
+    decode = {**single, **batch}[name]
+    llrs = np.random.default_rng(3).normal(size=16) * 2
+    for bad in (False, None, 0, "no"):
+        with pytest.raises(ValueError, match="exact f-update was removed"):
+            decode(llrs, minsum=bad)
+    for got, ref in zip(decode(llrs, minsum=True), decode(llrs)):
+        assert np.array_equal(got, ref)
 
 
 @pytest.mark.parametrize("shape", [(2, 16), (1, 16), ()])

@@ -104,15 +104,14 @@ def test_wagner_ml_random(length):
 
 def test_grep_rep_ml():
     plan = classify(make_code([0, 0, 0, 1]), GEN)
-    beta = decode_grep_sc(np.array([1.0, -2.0, 3.0, -4.0]), plan, minsum=False)
+    beta = decode_grep_sc(np.array([1.0, -2.0, 3.0, -4.0]), plan)
     assert beta.tolist() == [1, 1, 1, 1]
 
 
 def test_grep_all_positive_zeros():
     plan = classify(make_code([0] * 12 + [0, 0, 1, 1]), GEN)
     assert plan.kind == "grep"
-    assert not decode_grep_sc(np.abs(np.random.default_rng(0).normal(size=16)), plan,
-                             minsum=False).any()
+    assert not decode_grep_sc(np.abs(np.random.default_rng(0).normal(size=16)), plan).any()
 
 
 def test_gpc_example():
@@ -138,8 +137,8 @@ def test_special_nodes_match_tree_descent(flags):
     plan = classify(code, GEN)
     rng = np.random.default_rng(len(flags))
     llrs = rng.normal(size=(2000, code.N)) * 2
-    u_sc, x_sc = sc_descent_batch(llrs, code, minsum=True)
-    u_f, x_f = fast_ssc_decode_batch(llrs, plan, minsum=True)
+    u_sc, x_sc = sc_descent_batch(llrs, code)
+    u_f, x_f = fast_ssc_decode_batch(llrs, plan)
     assert np.array_equal(u_sc, u_f)
     assert np.array_equal(x_sc, x_f)
 
@@ -159,8 +158,8 @@ def test_rep_near_zero_sum_matches_sc():
         code = make_code([0] * (size - 1) + [1])
         llrs = rng.normal(size=(2000, size)) * 3
         llrs[:, -1] = -llrs[:, :-1].sum(axis=1)
-        u_sc, _ = sc_descent_batch(llrs, code, minsum=True)
-        u_f, _ = fast_ssc_decode_batch(llrs, classify(code), minsum=True)
+        u_sc, _ = sc_descent_batch(llrs, code)
+        u_f, _ = fast_ssc_decode_batch(llrs, classify(code))
         assert np.array_equal(u_sc, u_f), size
 
 
@@ -169,9 +168,9 @@ def test_fast_ssc_equals_sc_random_codes(n, K):
     code = construct_code(n, K, 0.5)
     rng = np.random.default_rng(n * 100 + K)
     llrs = rng.normal(size=(1000, code.N)) * 2
-    u_sc, _ = sc_descent_batch(llrs, code, minsum=True)
+    u_sc, _ = sc_descent_batch(llrs, code)
     for opts in (PlanOptions(), PlanOptions(True), GEN):
-        u_f, _ = fast_ssc_decode_batch(llrs, classify(code, opts), minsum=True)
+        u_f, _ = fast_ssc_decode_batch(llrs, classify(code, opts))
         assert np.array_equal(u_sc, u_f)
 
 
@@ -196,10 +195,10 @@ def test_random_patterns_every_rung(n, seed):
     rng = np.random.default_rng(seed)
     code = make_code(rng.random(1 << n) < rng.uniform(0.1, 0.9))
     llrs = rng.normal(size=(16, code.N)) * 2.5
-    u_ref, x_ref = sc_descent_batch(llrs, code, minsum=True)
+    u_ref, x_ref = sc_descent_batch(llrs, code)
     for label, opts in option_sweep():
         if not opts.max_af:
-            u, x = fast_ssc_decode_batch(llrs, classify(code, opts), minsum=True)
+            u, x = fast_ssc_decode_batch(llrs, classify(code, opts))
             assert np.array_equal(u, u_ref) and np.array_equal(x, x_ref), label
 
 
@@ -210,8 +209,8 @@ def test_zero_llr_tie_break_matches_sc():
     # then u1 = 1, while the node-root hard decision gives x = [1, 0]
     code = make_code([1, 1])
     llrs = np.array([[-2.0, 0.0]])
-    u_ref, _ = sc_descent_batch(llrs, code, minsum=True)
-    assert np.array_equal(fast_ssc_decode_batch(llrs, classify(code), minsum=True)[0], u_ref)
+    u_ref, _ = sc_descent_batch(llrs, code)
+    assert np.array_equal(fast_ssc_decode_batch(llrs, classify(code))[0], u_ref)
 
 
 @pytest.mark.xfail(strict=True, reason="an overflowed g-sum (inf - inf) is NaN; SC's f/g spreads "
@@ -224,8 +223,8 @@ def test_overflowing_llrs_match_sc():
     code = make_code([0, 0, 0, 0, 0, 0, 1, 1])
     llrs = np.array([[-0.9, 1.0, 1.0, 0.5, -1.0, -0.7, 0.9, -0.9]]) * 1e308
     with np.errstate(over="ignore", invalid="ignore"):
-        u_ref, _ = sc_descent_batch(llrs, code, minsum=True)
-        u, _ = fast_ssc_decode_batch(llrs, classify(code), minsum=True)
+        u_ref, _ = sc_descent_batch(llrs, code)
+        u, _ = fast_ssc_decode_batch(llrs, classify(code))
     assert np.array_equal(u, u_ref)
 
 
@@ -253,7 +252,7 @@ def test_rgpc_noiseless_recovery():
     u[:, code.info_indices] = rng.integers(0, 2, (500, 4), dtype=np.uint8)
     x = np.stack([encode(row, code) for row in u])
     llrs = (1.0 - 2.0 * x) * 5.0
-    u_hat, _ = fast_ssc_decode_batch(llrs, plan, minsum=True)
+    u_hat, _ = fast_ssc_decode_batch(llrs, plan)
     assert np.array_equal(u_hat, u)
 
 

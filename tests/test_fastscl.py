@@ -23,8 +23,8 @@ def make_code(flags):
 def assert_path_sets_equal(code, plan, L, frames, seed):
     rng = np.random.default_rng(seed)
     llrs = rng.normal(size=(frames, code.N)) * 2.5
-    u_ref, pm_ref = scl_descent_paths_batch(llrs, code, L, minsum=True)
-    u_fast, pm_fast = fast_scl_decode_paths_batch(llrs, plan, L, minsum=True)
+    u_ref, pm_ref = scl_descent_paths_batch(llrs, code, L)
+    u_fast, pm_fast = fast_scl_decode_paths_batch(llrs, plan, L)
     for b in range(frames):
         assert canon_paths(u_ref[b], pm_ref[b]) == canon_paths(u_fast[b], pm_fast[b]), \
             f"frame {b} diverged"
@@ -36,8 +36,8 @@ def test_list_one_reduces_to_fast_ssc():
         plan = classify(code, GEN)
         rng = np.random.default_rng(K)
         llrs = rng.normal(size=(300, code.N)) * 2
-        u_sc, _ = fast_ssc_decode_batch(llrs, plan, minsum=True)
-        u_l, _ = fast_scl_decode_batch(llrs, code, plan, 1, minsum=True)
+        u_sc, _ = fast_ssc_decode_batch(llrs, plan)
+        u_l, _ = fast_scl_decode_batch(llrs, code, plan, 1)
         assert np.array_equal(u_sc, u_l)
 
 
@@ -46,9 +46,9 @@ def test_rep_fork_metrics():
     code = make_code([0, 0, 0, 1])
     plan = classify(code, GEN)
     llrs = np.array([[1.0, -2.0, 3.0, -4.0]])
-    u, pm = fast_scl_decode_paths_batch(llrs, plan, 2, minsum=True)
+    u, pm = fast_scl_decode_paths_batch(llrs, plan, 2)
     got = canon_paths(u[0], pm[0])
-    ref_u, ref_pm = scl_descent_paths_batch(llrs, code, 2, minsum=True)
+    ref_u, ref_pm = scl_descent_paths_batch(llrs, code, 2)
     assert got == canon_paths(ref_u[0], ref_pm[0])
     # all-ones codeword wins (u3=1): positives 1 and 3 disagree with it
     assert got[0] == (pytest.approx(4.0), (0, 0, 0, 1))
@@ -59,7 +59,7 @@ def test_all_positive_keeps_best_metric_zero():
     code = make_code([0] * 12 + [0, 0, 1, 1])
     plan = classify(code, GEN)
     llrs = np.abs(np.random.default_rng(0).normal(size=(50, 16))) + 0.1
-    _, pm = fast_scl_decode_paths_batch(llrs, plan, 4, minsum=True)
+    _, pm = fast_scl_decode_paths_batch(llrs, plan, 4)
     assert np.allclose(pm[:, 0], 0.0)
 
 
@@ -106,10 +106,10 @@ def test_rgpc_metric_matches_relaxed_descent():
             plan = classify(code, PlanOptions(True, True, af))
             for L in (1, 4):
                 llrs = rng.normal(size=(10, code.N)) * 2.5
-                u, pm = fast_scl_decode_paths_batch(llrs, plan, L, minsum=True)
+                u, pm = fast_scl_decode_paths_batch(llrs, plan, L)
                 for b in range(10):
                     for p in range(u.shape[1]):
-                        ref = path_metric_of(llrs[b], u[b, p], minsum=True)
+                        ref = path_metric_of(llrs[b], u[b, p])
                         assert pm[b, p] == pytest.approx(ref, rel=1e-9, abs=1e-9)
 
 
@@ -121,13 +121,13 @@ def test_random_patterns_every_rung(n, seed, L):
     rng = np.random.default_rng(seed)
     code = make_code(rng.random(1 << n) < rng.uniform(0.2, 0.9))
     llrs = rng.normal(size=(8, code.N)) * 2.5
-    u_ref, pm_ref = scl_descent_paths_batch(llrs, code, L, minsum=True)
+    u_ref, pm_ref = scl_descent_paths_batch(llrs, code, L)
     for label, opts in option_sweep():
-        u, pm = fast_scl_decode_paths_batch(llrs, classify(code, opts), L, minsum=True)
+        u, pm = fast_scl_decode_paths_batch(llrs, classify(code, opts), L)
         for b in range(len(llrs)):
             if opts.max_af:
                 for p in range(u.shape[1]):
-                    ref = path_metric_of(llrs[b], u[b, p], minsum=True)
+                    ref = path_metric_of(llrs[b], u[b, p])
                     assert pm[b, p] == pytest.approx(ref, rel=1e-9, abs=1e-9), label
             else:
                 assert canon_paths(u[b], pm[b]) == canon_paths(u_ref[b], pm_ref[b]), label
@@ -142,8 +142,8 @@ def test_deep_lineage_matches_descent(plan_of):
     rng = np.random.default_rng(5)
     x = polar_transform(rng.integers(0, 2, (4, code.N), dtype=np.uint8) * code.flags)
     llrs = (1.0 - 2.0 * x) * 1.2 + rng.normal(size=x.shape)
-    u, pm = fast_scl_decode_paths_batch(llrs, plan_of(code), 8, minsum=True)
-    u_ref, pm_ref = scl_descent_paths_batch(llrs, code, 8, minsum=True)
+    u, pm = fast_scl_decode_paths_batch(llrs, plan_of(code), 8)
+    u_ref, pm_ref = scl_descent_paths_batch(llrs, code, 8)
     for b in range(len(llrs)):
         assert canon_paths(u[b], pm[b]) == canon_paths(u_ref[b], pm_ref[b]), f"frame {b}"
         for p in range(u.shape[1]):
@@ -168,9 +168,9 @@ def test_metric_gap_to_descent_is_bounded(n):
         x = polar_transform(rng.integers(0, 2, (16, N), dtype=np.uint8) * code.flags)
         llrs = (1.0 - 2.0 * x) * 1.2 + rng.normal(size=x.shape)
         for L in (1, 4, 8):
-            u_ref, pm_ref = scl_descent_paths_batch(llrs, code, L, minsum=True)
+            u_ref, pm_ref = scl_descent_paths_batch(llrs, code, L)
             for label, opts in option_sweep()[:3]:
-                u, pm = fast_scl_decode_paths_batch(llrs, classify(code, opts), L, minsum=True)
+                u, pm = fast_scl_decode_paths_batch(llrs, classify(code, opts), L)
                 assert np.array_equal(u, u_ref), (K, L, label)
                 assert np.all(np.abs(pm - pm_ref) <= METRIC_GAP_BOUND * np.abs(pm_ref)), (K, L, label)
 
@@ -199,7 +199,7 @@ def test_walker_steps_read_c_ordered_blocks(plan_of, monkeypatch):
     monkeypatch.setattr(fastscl, "f_step", checked(fastscl.f_step))
     monkeypatch.setattr(fastscl, "g_step", checked(fastscl.g_step))
     monkeypatch.setattr(fastscl, "combine", checked(fastscl.combine))
-    u, _ = fast_scl_decode_paths_batch(llrs, plan_of(code), 8, minsum=True)
+    u, _ = fast_scl_decode_paths_batch(llrs, plan_of(code), 8)
     assert u.shape == (4, 8, code.N) and called == {"f_step", "g_step", "combine"}
 
 
@@ -213,17 +213,17 @@ def test_tie_heavy_llrs_keep_path_sets(n, seed, L, B):
     code = make_code(rng.random(1 << n) < rng.uniform(0.2, 0.9))
     llrs = rng.integers(-2, 3, (B, code.N)).astype(float)
     # plain SCL keeps descent's paths in descent's order
-    u, pm = fast_scl_decode_paths_batch(llrs, leaves_only_plan(code), L, minsum=True)
-    u_ref, pm_ref = scl_descent_paths_batch(llrs, code, L, minsum=True)
+    u, pm = fast_scl_decode_paths_batch(llrs, leaves_only_plan(code), L)
+    u_ref, pm_ref = scl_descent_paths_batch(llrs, code, L)
     assert np.array_equal(u, u_ref) and np.array_equal(pm, pm_ref)
     # special nodes order their candidates unlike descent, so a tie on the
     # list cut can keep another tied path there; skipping no-op forks must
     # still change nothing
     plan = classify(code, GEN)
-    u_gen, pm_gen = fast_scl_decode_paths_batch(llrs, plan, L, minsum=True)
+    u_gen, pm_gen = fast_scl_decode_paths_batch(llrs, plan, L)
     with pytest.MonkeyPatch.context() as mp:  # no no-op test: every column forks
         mp.setattr(PathSet, "settled", lambda ps: False)
-        u_all, pm_all = fast_scl_decode_paths_batch(llrs, plan, L, minsum=True)
+        u_all, pm_all = fast_scl_decode_paths_batch(llrs, plan, L)
     assert np.array_equal(u_gen, u_all) and np.array_equal(pm_gen, pm_all)
     for uu, mm in ((u, pm), (u_gen, pm_gen)):
         for b in range(B):
@@ -255,7 +255,7 @@ def test_noop_forks_are_skipped(monkeypatch):
     x = polar_transform(rng.integers(0, 2, (1, code.N), dtype=np.uint8) * code.flags)
     sigma = np.sqrt(1.0 / (2.0 * 0.5 * 10 ** 0.2))
     llrs = 2.0 * ((1.0 - 2.0 * x) + sigma * rng.normal(size=x.shape)) / sigma**2
-    u_ref, pm_ref = fast_scl_decode_paths_batch(llrs, plan, 8, minsum=True)
+    u_ref, pm_ref = fast_scl_decode_paths_batch(llrs, plan, 8)
     forks = []
     fork = PathSet.fork
 
@@ -264,7 +264,7 @@ def test_noop_forks_are_skipped(monkeypatch):
         return fork(ps, pen0, pen1)
 
     monkeypatch.setattr(PathSet, "fork", counted)
-    u, pm = fast_scl_decode_paths_batch(llrs, plan, 8, minsum=True)
+    u, pm = fast_scl_decode_paths_batch(llrs, plan, 8)
     assert len(forks) < code.K
     assert np.array_equal(u, u_ref) and np.array_equal(pm, pm_ref)
 
@@ -276,7 +276,7 @@ def test_rgpc_may_violate_frozen_bits_without_error():
     assert plan.kind == "rgpc"
     # an adversarial frame pushing the ignored frozen position toward 1
     llrs = np.array([[0.2, -5.0, 4.0, -4.0]])
-    u, _ = fast_scl_decode_paths_batch(llrs, plan, 1, minsum=True)
+    u, _ = fast_scl_decode_paths_batch(llrs, plan, 1)
     assert u.shape == (1, 1, 4)  # decodes without raising
 
 
@@ -290,8 +290,8 @@ def test_crc_aided_selection():
     u = np.zeros((400, 64), np.uint8)
     u[:, code.info_indices] = np.stack([crc_attach(p, CRC8) for p in payload])
     llrs = (1.0 - 2.0 * polar_transform(u)) * 1.5 + rng.normal(size=(400, 64))
-    u_fast, _ = fast_scl_decode_batch(llrs, code, plan, 8, crc=CRC8, minsum=True)
-    u_ref, _ = select_output(*scl_descent_paths_batch(llrs, code, 8, minsum=True), code, CRC8)
+    u_fast, _ = fast_scl_decode_batch(llrs, code, plan, 8, crc=CRC8)
+    u_ref, _ = select_output(*scl_descent_paths_batch(llrs, code, 8), code, CRC8)
     assert np.array_equal(u_fast, u_ref)
 
 

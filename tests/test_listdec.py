@@ -15,13 +15,12 @@ def make_code(flags):
     return PolarCode(int(np.log2(flags.size)), int(flags.sum()), flags, 0.5)
 
 
-@pytest.mark.parametrize("minsum", [False, True])
-def test_list_one_equals_sc(minsum):
+def test_list_one_equals_sc():
     code = construct_code(6, 32, 0.5)
     rng = np.random.default_rng(1)
     llrs = rng.normal(size=(300, 64)) * 2
-    u_sc, _ = sc_descent_batch(llrs, code, minsum=minsum)
-    u_l, _ = scl_decode_batch(llrs, code, 1, minsum=minsum)
+    u_sc, _ = sc_descent_batch(llrs, code)
+    u_l, _ = scl_decode_batch(llrs, code, 1)
     assert np.array_equal(u_sc, u_l)
 
 
@@ -32,7 +31,7 @@ def brute_force_ml(llrs, code):
     for w in range(1 << K):
         u = np.zeros(code.N, np.uint8)
         u[info] = (w >> np.arange(K)) & 1
-        pm = path_metric_of(llrs, u, minsum=True)
+        pm = path_metric_of(llrs, u)
         if pm < best_pm - 1e-12:
             best, best_pm = u, pm
     return best, best_pm
@@ -49,7 +48,7 @@ def test_full_list_is_ml(flags):
     rng = np.random.default_rng(code.N)
     for _ in range(40):
         llrs = rng.normal(size=code.N) * 2
-        u_hat, pm = scl_decode(llrs, code, L, minsum=True)
+        u_hat, pm = scl_decode(llrs, code, L)
         u_ml, pm_ml = brute_force_ml(llrs, code)
         assert pm == pytest.approx(pm_ml, rel=1e-9)
         assert np.array_equal(u_hat, u_ml)
@@ -62,7 +61,7 @@ def test_noiseless_crc_aided():
     u = np.zeros((1000, 64), np.uint8)
     u[:, code.info_indices] = np.stack([crc_attach(p, CRC8) for p in payload])
     llrs = (1.0 - 2.0 * polar_transform(u)) * 4.0
-    u_hat, _ = scl_decode_batch(llrs, code, 4, crc=CRC8, minsum=False)
+    u_hat, _ = scl_decode_batch(llrs, code, 4, crc=CRC8)
     assert np.array_equal(u_hat, u)
 
 
@@ -71,7 +70,7 @@ def test_path_count_and_metric_monotonicity():
     rng = np.random.default_rng(2)
     for L in (1, 2, 4, 8):
         llrs = rng.normal(size=(50, 32)) * 2
-        u, pm = scl_decode_paths_batch(llrs, code, L, minsum=True)
+        u, pm = scl_decode_paths_batch(llrs, code, L)
         assert u.shape[1] <= L
         assert (pm >= -1e-12).all()
         assert (np.diff(pm, axis=1) >= -1e-12).all()  # sorted output
@@ -86,13 +85,13 @@ def test_survivors_are_smallest_metric_candidates():
     info = code.info_indices
     for _ in range(20):
         llrs = rng.normal(size=8) * 2
-        u, pm = scl_decode_paths_batch(llrs[None], code, 8, minsum=True)
+        u, pm = scl_decode_paths_batch(llrs[None], code, 8)
         kept = {tuple(int(b) for b in row) for row in u[0]}
         all_pms = []
         for w in range(16):
             cand = np.zeros(8, np.uint8)
             cand[info] = (w >> np.arange(4)) & 1
-            all_pms.append((path_metric_of(llrs, cand, minsum=True), tuple(cand)))
+            all_pms.append((path_metric_of(llrs, cand), tuple(cand)))
         all_pms.sort()
         worst_kept = max(p for p, c in all_pms if c in kept)
         best_dropped = min((p for p, c in all_pms if c not in kept), default=np.inf)
@@ -103,10 +102,10 @@ def test_pm_recomputable_from_history():
     code = construct_code(6, 32, 0.5)
     rng = np.random.default_rng(4)
     llrs = rng.normal(size=(20, 64)) * 2
-    u, pm = scl_decode_paths_batch(llrs, code, 4, minsum=True)
+    u, pm = scl_decode_paths_batch(llrs, code, 4)
     for b in range(20):
         for p in range(u.shape[1]):
-            ref = path_metric_of(llrs[b], u[b, p], minsum=True)
+            ref = path_metric_of(llrs[b], u[b, p])
             assert pm[b, p] == pytest.approx(ref, rel=1e-9, abs=1e-9)
 
 
@@ -122,8 +121,8 @@ def test_crc_selection_prefers_passing_path():
     for trial in range(400):
         noise = rng.normal(size=32)
         llrs = (1.0 - 2.0 * x) * 1.2 + noise
-        u_plain, _ = scl_decode_batch(llrs[None], code, 8, minsum=False)
-        u_crc, _ = scl_decode_batch(llrs[None], code, 8, crc=CRC8, minsum=False)
+        u_plain, _ = scl_decode_batch(llrs[None], code, 8)
+        u_crc, _ = scl_decode_batch(llrs[None], code, 8, crc=CRC8)
         if not np.array_equal(u_plain[0], u) and np.array_equal(u_crc[0], u):
             found = True
             break
@@ -138,7 +137,7 @@ def test_bler_non_increasing_in_list_size():
     llrs = (1.0 - 2.0 * polar_transform(u)) * 1.0 + rng.normal(size=(600, 128)) * 1.0
     errs = []
     for L in (1, 2, 4, 8):
-        u_hat, _ = scl_decode_batch(llrs, code, L, minsum=True)
+        u_hat, _ = scl_decode_batch(llrs, code, L)
         errs.append(int((u_hat != u).any(axis=1).sum()))
     # allow tiny statistical wiggle between adjacent list sizes
     for a, b in zip(errs, errs[1:]):
@@ -149,21 +148,21 @@ def test_single_frame_wrapper():
     code = construct_code(4, 8, 0.5)
     rng = np.random.default_rng(11)
     llrs = rng.normal(size=16)
-    u1, pm1 = scl_decode(llrs, code, 4, minsum=True)
-    ub, pmb = scl_decode_batch(llrs[None], code, 4, minsum=True)
+    u1, pm1 = scl_decode(llrs, code, 4)
+    ub, pmb = scl_decode_batch(llrs[None], code, 4)
     assert np.array_equal(u1, ub[0]) and pm1 == pytest.approx(float(pmb[0]))
 
 
-@given(st.integers(0, 6), st.integers(0, 10 ** 6), st.sampled_from([1, 2, 4, 8]), st.booleans())
+@given(st.integers(0, 6), st.integers(0, 10 ** 6), st.sampled_from([1, 2, 4, 8]))
 @settings(max_examples=60, deadline=None)
-def test_scl_equals_descent_oracle(n, seed, L, minsum):
+def test_scl_equals_descent_oracle(n, seed, L):
     # plain SCL is the fast SCL walker on the leaves-only plan; the oracle
     # is an independent tree descent that records every decided bit
     rng = np.random.default_rng(seed)
     code = make_code(rng.integers(0, 2, 1 << n, dtype=np.uint8))
     llrs = rng.normal(size=(10, code.N)) * 2
-    u, pm = scl_decode_paths_batch(llrs, code, L, minsum=minsum)
-    u_ref, pm_ref = scl_descent_paths_batch(llrs, code, L, minsum=minsum)
+    u, pm = scl_decode_paths_batch(llrs, code, L)
+    u_ref, pm_ref = scl_descent_paths_batch(llrs, code, L)
     assert np.array_equal(u, u_ref) and np.array_equal(pm, pm_ref)
 
 
@@ -274,7 +273,7 @@ def test_overflowing_llrs_match_descent():
             llrs = rng.choice([-1.0, 1.0], shape) * rng.uniform(0.5, 1.0, shape) * 1e308
             for L in (2, 4):
                 u, pm = scl_decode_paths_batch(llrs, code, L)
-                u_ref, pm_ref = scl_descent_paths_batch(llrs, code, L, minsum=True)
+                u_ref, pm_ref = scl_descent_paths_batch(llrs, code, L)
                 assert np.array_equal(u, u_ref) and np.array_equal(pm, pm_ref)
 
 

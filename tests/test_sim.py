@@ -127,6 +127,11 @@ def test_config_validation():
         SimConfig(code=code, crc=CRC8)  # 8 CRC bits leave no payload headroom
     with pytest.raises(ValueError):
         SimConfig(code=code, snr_unit="db")
+    # min-sum is the only f-update: False is refused, True (as the
+    # benchmark passes it) is accepted
+    with pytest.raises(ValueError, match="exact f-update was removed"):
+        SimConfig(code=code, minsum=False)
+    SimConfig(code=code, minsum=True)
     for field in ("batch", "max_frames", "list_size"):
         with pytest.raises(ValueError, match=field):
             SimConfig(code=code, **{field: 0})
