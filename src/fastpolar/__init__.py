@@ -1,10 +1,10 @@
 """Polar coding with generalized multi-node fast SC/SCL decoding."""
 
 from .classify import DecodePlan, PlanOptions, classify, option_sweep, plan_stats
-from .codec import combine, encode, f_step, g_step, polar_transform, sc_decode
+from .codec import encode, polar_transform, sc_decode
 from .construction import PolarCode, construct_code, load_descriptor, save_descriptor
 from .crc import CRC8, CRC16, CrcSpec, crc_attach, crc_check
-from .fastsc import decode_gpc_sc, decode_grep_sc, fast_ssc_decode, grep_fold, wagner_decode
+from .fastsc import fast_ssc_decode
 from .fastscl import fast_scl_decode
 from .latency import CostReport, cost_sc, cost_scl, latency_table
 from .listdec import scl_decode

@@ -50,7 +50,8 @@ def cmd_encode(args):
 def cmd_decode(args):
     code = load_descriptor(args.code)
     llrs = _read_vector(sys.stdin)
-    decode = batch_decoder(args.algo, code, _node_options(args), args.list, crc_by_name(args.crc))
+    L = 4 if args.list is None else args.list
+    decode = batch_decoder(args.algo, code, _node_options(args), L, crc_by_name(args.crc))
     _write_vector(sys.stdout, decode(llrs[None, :])[0], "%d")
 
 
@@ -118,8 +119,8 @@ def build_parser():
     p = sub.add_parser("decode", parents=[nodes], help="decode an LLR vector from stdin")
     p.add_argument("--code", required=True)
     p.add_argument("--algo", choices=list(DECODERS), default="sc")
-    p.add_argument("--list", type=int, default=4)
-    p.add_argument("--crc", choices=list(CRC_NAMES), default="none")
+    p.add_argument("--list", type=int, help="list size of scl and ssclspc (default 4)")
+    p.add_argument("--crc", choices=list(CRC_NAMES), default="none", help="scl and ssclspc only")
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("classify", parents=[nodes], help="print the pruned decode tree")
@@ -145,8 +146,10 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if getattr(args, "max_af", 0) and args.nodes != "rgpc":
         ap.error("--max-af applies only with --nodes rgpc")
-    if getattr(args, "list", 1) < 1:
+    if getattr(args, "list", None) is not None and args.list < 1:
         ap.error("--list must be >= 1")
+    if getattr(args, "algo", None) in ("sc", "fastssc") and (args.list or args.crc != "none"):
+        ap.error("--list and --crc apply only with --algo scl or ssclspc")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # bad input data, codes or configs

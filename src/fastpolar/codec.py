@@ -6,14 +6,15 @@ that the same routines serve single frames, (size, B) frame batches and
 are contiguous blocks.  A node owning 2^t LLRs consumes its parent's
 2^(t+1) values through ``f_step``/``g_step``, whose f-update is min-sum:
 the rule under which the fast node decoders reproduce SC.
+These and ``combine`` are the walkers' internal kernels and check nothing;
+the entry points check their input once, in ``_llr_batch``.
 """
 
 import numpy as np
 
 from .classify import leaves_only_plan
 
-__all__ = ["encode", "polar_transform", "f_step", "g_step", "combine", "sc_decode",
-           "sc_decode_batch"]
+__all__ = ["encode", "polar_transform", "sc_decode", "sc_decode_batch"]
 
 
 def _butterfly(x, h):
@@ -63,10 +64,7 @@ def encode(u, code):
 
 def f_step(alpha):
     """Min-sum soft update for the left child; halves the leading axis."""
-    alpha = np.asarray(alpha, dtype=np.float64)
     m = alpha.shape[0] // 2
-    if alpha.shape[0] != 2 * m:
-        raise ValueError("f_step needs an even-length LLR vector")
     a, b = alpha[:m], alpha[m:]
     # sign(a) sign(b) min(|a|, |b|) in fewer passes; only the sign of a
     # zero can differ.  sign(a) * b, unlike a * b, cannot overflow
@@ -75,26 +73,27 @@ def f_step(alpha):
 
 def g_step(alpha, beta_left):
     """Soft update for the right child, given the left partial sums."""
-    alpha = np.asarray(alpha, dtype=np.float64)
     m = alpha.shape[0] // 2
-    beta_left = np.asarray(beta_left)
-    if beta_left.shape[0] != m:
-        raise ValueError("beta_left length must be half of alpha's")
     a, b = alpha[:m], alpha[m:]
     return b + (1.0 - 2.0 * beta_left) * a
 
 
 def combine(beta_left, beta_right):
     """Partial-sum merge: (bl ^ br, br)."""
-    bl = np.asarray(beta_left, dtype=np.uint8)
-    br = np.asarray(beta_right, dtype=np.uint8)
-    return np.concatenate([bl ^ br, br])
+    return np.concatenate([beta_left ^ beta_right, beta_right])
+
+
+def _llr_limit(N):
+    """The bound on every channel |LLR| at length N: a leaf's LLR sums up to
+    N channel values, so below it no f/g sum overflows to inf or NaN."""
+    return np.finfo(np.float64).max / N
 
 
 def _llr_batch(channel_llrs, N, minsum):
-    """Channel LLRs as a finite, C-contiguous float (N, B) array, positions
+    """Channel LLRs as a bounded, C-contiguous float (N, B) array, positions
     first, as the walkers take them; one frame becomes a batch of one.
-    The entry points' f-rule keyword is checked here, once."""
+    Every check that the walkers' kernels rely on runs here, once per call,
+    as does the check of the entry points' f-rule keyword."""
     if type(minsum) not in (bool, np.bool_) or not minsum:
         raise ValueError(f"minsum must be True, got {minsum!r}: the exact f-update was "
                          f"removed, and every decoder uses min-sum")
@@ -105,9 +104,13 @@ def _llr_batch(channel_llrs, N, minsum):
     alpha = np.atleast_2d(alpha)
     if alpha.shape[-1] != N:
         raise ValueError(f"expected {N} LLRs per frame, got {alpha.shape[-1]}")
-    bad = alpha.size - np.count_nonzero(np.isfinite(alpha))
-    if bad:  # NaN or inf would decode silently to garbage
-        raise ValueError(f"{bad} of {alpha.size} channel LLRs are not finite (NaN or inf)")
+    peak = np.abs(alpha).max(initial=0.0)
+    if not peak < _llr_limit(N):  # NaN fails this too
+        bad = alpha.size - np.count_nonzero(np.isfinite(alpha))
+        if bad:  # NaN or inf would decode silently to garbage
+            raise ValueError(f"{bad} of {alpha.size} channel LLRs are not finite (NaN or inf)")
+        raise ValueError(f"channel LLRs up to {peak:.4g} in magnitude: N * max|LLR| must stay "
+                         f"below the float maximum, so |LLR| < {_llr_limit(N):.4g} at N = {N}")
     return np.ascontiguousarray(alpha.T)
 
 

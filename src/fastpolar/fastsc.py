@@ -1,17 +1,18 @@
 """Fast SC decoding of special nodes and the plan-driven decoder.
 
-Node decoders operate on the leading (positions) axis and broadcast over
-trailing batch axes; ``fast_ssc_decode_batch`` walks a DecodePlan and is
-bit-exact with plain SC when only exact node kinds (everything except RG-PC)
-appear in the plan.  Plain SC is this walker on the leaves-only plan.
+``fast_ssc_decode_batch`` walks a DecodePlan and is bit-exact with plain
+SC when only exact node kinds (everything except RG-PC) appear in the plan.
+Plain SC is this walker on the leaves-only plan.  The node decoders are
+the walker's internal kernels: they work on the leading (positions) axis,
+broadcast over trailing batch axes and check nothing, since the entry
+points check the channel LLRs once and the plan fixes every node's size.
 """
 
 import numpy as np
 
 from .codec import _frames_first, _llr_batch, _one_frame, combine, f_step, g_step, polar_transform
 
-__all__ = ["grep_fold", "wagner_decode", "decode_grep_sc", "decode_gpc_sc",
-           "fast_ssc_decode", "fast_ssc_decode_batch"]
+__all__ = ["fast_ssc_decode", "fast_ssc_decode_batch"]
 
 
 def grep_fold(alpha, p):
@@ -20,10 +21,7 @@ def grep_fold(alpha, p):
     Iterated g-updates with all-zero left partial sums; the result sums
     LLRs whose indices are congruent modulo 2^p.
     """
-    alpha = np.asarray(alpha, dtype=np.float64)
     target = 1 << p
-    if alpha.shape[0] < target:
-        raise ValueError("p too large for this node")
     while alpha.shape[0] > target:
         half = alpha.shape[0] // 2
         alpha = alpha[half:] + alpha[:half]
@@ -36,7 +34,6 @@ def wagner_decode(alpha):
     Hard decisions; if their XOR is odd, flip the least reliable position
     (lowest index on |LLR| ties).
     """
-    alpha = np.asarray(alpha, dtype=np.float64)
     # C order, so that the flat view below writes into beta (alpha may be
     # a non-contiguous view, and a reshape of a non-contiguous array copies)
     beta = (alpha < 0).astype(np.uint8, order="C")
@@ -49,7 +46,6 @@ def wagner_decode(alpha):
 
 def decode_grep_sc(alpha, plan):
     """Decode a G-Rep node: fold, decode the Rate-C child, tile."""
-    alpha = np.asarray(alpha, dtype=np.float64)
     p = plan.rate_c.stage
     beta_rc = _decode_node(grep_fold(alpha, p), plan.rate_c)
     return np.concatenate([beta_rc] * (alpha.shape[0] >> p))
@@ -57,10 +53,7 @@ def decode_grep_sc(alpha, plan):
 
 def decode_gpc_sc(alpha, np_sub):
     """Decode a G-PC node as np_sub interleaved SPC codes (parallel Wagner)."""
-    alpha = np.asarray(alpha, dtype=np.float64)
     size = alpha.shape[0]
-    if size % np_sub:
-        raise ValueError("np_sub must divide the node size")
     # sub-code j holds positions i*np_sub + j: axis 0 of this free reshape
     beta = wagner_decode(alpha.reshape((size // np_sub, np_sub) + alpha.shape[1:]))
     return beta.reshape(alpha.shape)

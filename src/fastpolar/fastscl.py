@@ -22,8 +22,7 @@ __all__ = ["fast_scl_decode", "fast_scl_decode_batch", "fast_scl_decode_paths_ba
 
 def _relu_neg(a):
     # Eq-(7) penalty for deciding 0 everywhere: |alpha| where the hard
-    # decision disagrees.  fmax, unlike maximum or a product with a sign
-    # mask, charges 0 for the NaN of an overflowed f/g sum (inf - inf)
+    # decision disagrees
     return np.fmax(-a, 0.0)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .classify import PlanOptions, classify
-from .codec import encode, sc_decode_batch
+from .codec import _llr_limit, encode, sc_decode_batch
 from .construction import PolarCode, load_descriptor
 from .crc import CRC_NAMES, CrcSpec, check_field_types, crc_attach, crc_by_name
 from .fastsc import fast_ssc_decode_batch
@@ -109,10 +109,10 @@ class SimConfig:
         if self.snr_unit == "ebn0" and not self.payload_bits:
             raise ValueError("snr_unit 'ebn0' needs payload bits, and this code has none "
                              "(K = 0); give the SNR as Es/N0 with snr_unit 'esn0'")
-        for s in snr:  # g-steps add up to N LLRs of about 2/sigma**2; 2x for the noise
+        for s in snr:  # LLRs are about 2/sigma**2; 2x for the noise
             try:
                 sigma = self.sigma_for(s)
-                ok = 0.0 < sigma < np.inf and 4.0 * self.code.N / sigma**2 < np.finfo(float).max
+                ok = 0.0 < sigma < np.inf and 4.0 / sigma**2 < _llr_limit(self.code.N)
             except (OverflowError, ZeroDivisionError):
                 ok = False
             if not ok:

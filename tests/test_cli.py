@@ -68,7 +68,8 @@ def test_decode_matches_library(code_file, monkeypatch, capsys, algo, nodes):
     # noisy frames, where the decoders and node sets disagree with each other
     code = load_descriptor(code_file)
     plan = classify(code, NODE_SETS[nodes])
-    crcs = ["none", "crc8"] if algo in ("scl", "ssclspc") else ["none"]
+    listed = algo in ("scl", "ssclspc")
+    crcs = ["none", "crc8"] if listed else ["none"]
     rng = np.random.default_rng(7)
     for crc in crcs:
         u = np.zeros(32, np.uint8)
@@ -80,8 +81,9 @@ def test_decode_matches_library(code_file, monkeypatch, capsys, algo, nodes):
                "scl": lambda: scl_decode(llrs, code, 4, spec),
                "ssclspc": lambda: fast_scl_decode(llrs, code, plan, 4, spec)}
         feed(monkeypatch, " ".join(repr(float(v)) for v in llrs))
+        # an explicit --crc none is accepted by the SC decoders, a --list is not
         main(["decode", "--code", str(code_file), "--algo", algo, "--nodes", nodes,
-              "--list", "4", "--crc", crc] + ["--max-af", "2"] * (nodes == "rgpc"))
+              "--crc", crc] + ["--list", "4"] * listed + ["--max-af", "2"] * (nodes == "rgpc"))
         out = np.array(capsys.readouterr().out.split(), np.uint8)
         assert np.array_equal(out, ref[algo]()[0]), crc
 
@@ -99,10 +101,10 @@ def test_plain_and_fast_decoders_agree_by_default(tmp_path, monkeypatch, capsys)
         llrs = 2.0 * ((1.0 - 2.0 * encode(u, code)) + 0.9 * rng.normal(size=256)) / 0.81
         capsys.readouterr()
         out = {}
-        for algo in ("sc", "fastssc", "scl", "ssclspc"):
+        for algo, extra in (("sc", []), ("fastssc", []),
+                            *((a, ["--list", "4", "--crc", "crc8"]) for a in ("scl", "ssclspc"))):
             feed(monkeypatch, " ".join(repr(float(v)) for v in llrs))
-            main(["decode", "--code", str(path), "--algo", algo, "--nodes", "gpc",
-                  "--list", "4", "--crc", "crc8"])
+            main(["decode", "--code", str(path), "--algo", algo, "--nodes", "gpc", *extra])
             out[algo] = capsys.readouterr().out
         assert out["sc"] == out["fastssc"], frame
         assert out["scl"] == out["ssclspc"], frame
@@ -160,6 +162,13 @@ def _bad_inputs(tmp_path):
                              "the exact f-update was removed"),
         "decode-minsum-flag": (["decode", *k8, "--minsum"], llrs,
                                "unrecognized arguments: --minsum"),
+        **{f"{algo}-with-{name}": (["decode", *k8, "--algo", algo, *opts], llrs,
+                                   "--list and --crc apply only with --algo scl or ssclspc")
+           for algo in ("sc", "fastssc")
+           for name, opts in (("crc", ["--crc", "crc16"]), ("list", ["--list", "4"]),
+                              ("crc-and-list", ["--crc", "crc16", "--list", "7"]))},
+        "overflowing-llrs": (["decode", *k8], " ".join(["2e307"] * 16),
+                             "N * max|LLR| must stay below the float maximum"),
         **{f"encode-{v}": encode_with(v) for v in ("2", "-1", "256", "0.5")},
         "desc-no-n": (*decode_with("non", {"K": 4, "frozen_indices": [0, 1, 2, 4]}),
                       "a JSON object with 'n' and 'frozen_indices'"),
@@ -191,6 +200,9 @@ def _bad_inputs(tmp_path):
                                   "sim-list-size-2.5", "sim-scalar-snr", "sim-batch-string",
                                   "sim-grep-no", "sim-no-code-path", "sim-ebn0-without-payload",
                                   "sim-minsum-false", "decode-minsum-flag",
+                                  "sc-with-crc", "sc-with-list", "sc-with-crc-and-list",
+                                  "fastssc-with-crc", "fastssc-with-list",
+                                  "fastssc-with-crc-and-list", "overflowing-llrs",
                                   "encode-2", "encode--1", "encode-256", "encode-0.5",
                                   "desc-no-n", "desc-list", "desc-no-frozen", "desc-frozen-int",
                                   "desc-sigma-null", "sim-crc-bogus", "sim-crc-width-x",

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fastpolar.classify import PlanOptions, classify, option_sweep
-from fastpolar.codec import encode, g_step, sc_decode
+from fastpolar.codec import encode, g_step, sc_decode, sc_decode_batch
 from fastpolar.construction import PolarCode, construct_code
 from fastpolar.fastsc import (decode_gpc_sc, decode_grep_sc, fast_ssc_decode, fast_ssc_decode_batch,
                               grep_fold, wagner_decode)
@@ -213,19 +213,30 @@ def test_zero_llr_tie_break_matches_sc():
     assert np.array_equal(fast_ssc_decode_batch(llrs, classify(code))[0], u_ref)
 
 
-@pytest.mark.xfail(strict=True, reason="an overflowed g-sum (inf - inf) is NaN; SC's f/g spreads "
-                   "it over a Rate-1 node's later leaves, the node-root decision does not")
-def test_overflowing_llrs_match_sc():
-    # finite LLRs near the float maximum: the right half's g-sums overflow to
-    # -inf and +inf, and the next g-step gives [NaN, -1e307] at the last
-    # Rate-1 node; SC decides both leaves 0 through the NaN, while the node's
-    # hard decision gives x = [0, 1]
+def test_overflowing_llrs_rejected():
+    # finite LLRs near the float maximum: the right half's g-sums would
+    # overflow to -inf and +inf, and the next g-step give [NaN, -1e307] at
+    # the last Rate-1 node, where SC and the node's hard decision part ways.
+    # The entry points reject N * max|LLR| at the float maximum; just below
+    # it no f/g sum overflows, and fast SC matches SC
     code = make_code([0, 0, 0, 0, 0, 0, 1, 1])
-    llrs = np.array([[-0.9, 1.0, 1.0, 0.5, -1.0, -0.7, 0.9, -0.9]]) * 1e308
-    with np.errstate(over="ignore", invalid="ignore"):
+    frame = np.array([[-0.9, 1.0, 1.0, 0.5, -1.0, -0.7, 0.9, -0.9]])
+    limit = np.finfo(np.float64).max / 8
+    for decode in (lambda x: sc_decode_batch(x, code),
+                   lambda x: fast_ssc_decode_batch(x, classify(code)),
+                   lambda x: fast_ssc_decode(x[0], classify(code))):
+        for peak in (1e308, limit):
+            with pytest.raises(ValueError, match=r"N \* max\|LLR\| must stay below the float"):
+                decode(frame * peak)
+    rng = np.random.default_rng(5)
+    for n in (3, 5, 8):
+        code = construct_code(n, 1 << (n - 1), 0.5)
+        top = np.nextafter(np.finfo(np.float64).max / code.N, 0)
+        llrs = rng.choice([-1.0, 1.0], (20, code.N)) * rng.uniform(0.5, 1.0, (20, code.N)) * top
+        llrs[:, -1] = top
         u_ref, _ = sc_descent_batch(llrs, code)
-        u, _ = fast_ssc_decode_batch(llrs, classify(code))
-    assert np.array_equal(u, u_ref)
+        for label, opts in option_sweep()[:3]:
+            assert np.array_equal(fast_ssc_decode_batch(llrs, classify(code, opts))[0], u_ref), label
 
 
 def test_parity_soundness_of_encoder_on_gpc():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fastpolar import fastscl
+from fastpolar import fastsc, fastscl
 from fastpolar.classify import PlanOptions, classify, leaves_only_plan, option_sweep
 from fastpolar.codec import encode, polar_transform
 from fastpolar.construction import PolarCode, construct_code
@@ -175,32 +175,73 @@ def test_metric_gap_to_descent_is_bounded(n):
                 assert np.all(np.abs(pm - pm_ref) <= METRIC_GAP_BOUND * np.abs(pm_ref)), (K, L, label)
 
 
-@pytest.mark.parametrize("plan_of", [lambda code: classify(code, GEN), leaves_only_plan],
-                         ids=["grep+gpc", "leaves-only"])
+# the SC walker's kernels that each node kind calls, besides f/g/combine
+_SC_KERNELS = {"rep": {"grep_fold"}, "grep": {"decode_grep_sc", "grep_fold"},
+               **dict.fromkeys(("spc", "gpc", "rgpc"), {"decode_gpc_sc", "wagner_decode"}),
+               "split": {"f_step", "g_step", "combine"}}
+
+
+# between them, these plans hold every node kind
+@pytest.mark.parametrize("plan_of", [lambda code: classify(code, GEN), leaves_only_plan,
+                                     lambda code: classify(code, PlanOptions()),
+                                     lambda code: classify(code, PlanOptions(True, True, 2))],
+                         ids=["grep+gpc", "leaves-only", "base", "rgpc2"])
 def test_walker_steps_read_c_ordered_blocks(plan_of, monkeypatch):
     # every path gather is a take over the flattened (B·P) path axis, so the
     # f/g steps and partial-sum merges to the right of a fork read C-ordered
-    # blocks, positions first
+    # blocks, positions first.  The node kernels check nothing, so both
+    # walkers must also hand them float64 LLRs, uint8 partial sums, an even
+    # length where they halve and an np_sub that divides the node size
     code = construct_code(10, 512, 0.5)
+    plan = plan_of(code)
     rng = np.random.default_rng(9)
     x = polar_transform(rng.integers(0, 2, (4, code.N), dtype=np.uint8) * code.flags)
     llrs = (1.0 - 2.0 * x) * 1.2 + rng.normal(size=x.shape)
     called = set()
 
-    def checked(step):
+    def llrs_of(alpha, *rest):
+        assert alpha.dtype == np.float64
+
+    def halving(alpha, *beta_left):
+        assert alpha.dtype == np.float64 and alpha.shape[0] % 2 == 0
+        for bl in beta_left:
+            assert bl.dtype == np.uint8 and bl.shape == (alpha.shape[0] // 2,) + alpha.shape[1:]
+
+    def sums(bl, br):
+        assert bl.dtype == br.dtype == np.uint8 and bl.shape == br.shape
+
+    def folding(alpha, p):
+        assert alpha.dtype == np.float64 and alpha.shape[0] >= 1 << p
+
+    def parity(alpha, np_sub):
+        assert alpha.dtype == np.float64 and alpha.shape[0] % np_sub == 0
+
+    preconditions = {"f_step": halving, "g_step": halving, "combine": sums,
+                     "grep_fold": folding, "wagner_decode": llrs_of,
+                     "decode_grep_sc": llrs_of, "decode_gpc_sc": parity}
+
+    def checked(module, name):
+        step = getattr(module, name)
+
         def wrapped(*args):
             for arr in args:  # LLR blocks and partial sums
                 if isinstance(arr, np.ndarray):
-                    assert arr.flags.c_contiguous, (step.__name__, arr.shape, arr.strides)
-            called.add(step.__name__)
+                    assert arr.flags.c_contiguous, (name, arr.shape, arr.strides)
+            preconditions[name](*args)
+            called.add((module.__name__, name))
             return step(*args)
-        return wrapped
+        monkeypatch.setattr(module, name, wrapped)
 
-    monkeypatch.setattr(fastscl, "f_step", checked(fastscl.f_step))
-    monkeypatch.setattr(fastscl, "g_step", checked(fastscl.g_step))
-    monkeypatch.setattr(fastscl, "combine", checked(fastscl.combine))
-    u, _ = fast_scl_decode_paths_batch(llrs, plan_of(code), 8)
-    assert u.shape == (4, 8, code.N) and called == {"f_step", "g_step", "combine"}
+    for name in ("f_step", "g_step", "combine"):
+        checked(fastscl, name)
+    for name in preconditions:
+        checked(fastsc, name)
+    u, _ = fast_scl_decode_paths_batch(llrs, plan, 8)
+    assert u.shape == (4, 8, code.N)
+    assert {n for m, n in called if m == fastscl.__name__} == {"f_step", "g_step", "combine"}
+    fast_ssc_decode_batch(llrs, plan)
+    expected = set().union(*(_SC_KERNELS.get(node.kind, set()) for node in plan.walk()))
+    assert {n for m, n in called if m == fastsc.__name__} == expected
 
 
 @given(st.integers(1, 6), st.integers(0, 10 ** 6), st.sampled_from([2, 4, 8]),

@@ -261,20 +261,28 @@ def test_noop_predicate_agrees_with_fork(seed, B, L, full):
         assert np.array_equal(ps.pm, pm)
 
 
-def test_overflowing_llrs_match_descent():
-    # |LLR| near the float maximum: g-sums overflow to inf, then to NaN
-    # (inf - inf); the walker's penalties must charge a NaN 0 both ways, as
-    # the descent does
+def test_overflowing_llrs_rejected():
+    # |LLR| near the float maximum would overflow g-sums to inf, then to NaN
+    # (inf - inf).  The entry points reject N * max|LLR| at the float
+    # maximum; just below it the walker still keeps descent's path sets
+    # and metrics
     rng = np.random.default_rng(5)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in (3, 4, 5, 6):
-            code = construct_code(n, 1 << (n - 1), 0.5)
-            shape = (20, code.N)
-            llrs = rng.choice([-1.0, 1.0], shape) * rng.uniform(0.5, 1.0, shape) * 1e308
-            for L in (2, 4):
-                u, pm = scl_decode_paths_batch(llrs, code, L)
-                u_ref, pm_ref = scl_descent_paths_batch(llrs, code, L)
-                assert np.array_equal(u, u_ref) and np.array_equal(pm, pm_ref)
+    for n in (3, 4, 5, 6):
+        code = construct_code(n, 1 << (n - 1), 0.5)
+        shape = (20, code.N)
+        llrs = rng.choice([-1.0, 1.0], shape) * rng.uniform(0.5, 1.0, shape)
+        llrs[:, 0] = 1.0
+        limit = np.finfo(np.float64).max / code.N
+        for peak in (1e308, limit):
+            with pytest.raises(ValueError, match=r"N \* max\|LLR\| must stay below the float"):
+                scl_decode_paths_batch(llrs * peak, code, 2)
+            with pytest.raises(ValueError, match=r"N \* max\|LLR\| must stay below the float"):
+                scl_decode(llrs[0] * peak, code, 2)
+        llrs *= np.nextafter(limit, 0)
+        for L in (2, 4):
+            u, pm = scl_decode_paths_batch(llrs, code, L)
+            u_ref, pm_ref = scl_descent_paths_batch(llrs, code, L)
+            assert np.array_equal(u, u_ref) and np.array_equal(pm, pm_ref)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
