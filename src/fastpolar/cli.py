@@ -11,12 +11,15 @@ import sys
 
 import numpy as np
 
-from .classify import PlanOptions, classify, plan_stats
+from .classify import classify, option_sweep, plan_stats
 from .codec import encode
 from .construction import construct_code, load_descriptor, save_descriptor
 from .crc import CRC_NAMES, crc_by_name
 from .latency import latency_table
-from .sim import DECODERS, batch_decoder, load_sim_config, run_bler
+from .sim import DECODERS, LIST_DECODERS, batch_decoder, load_sim_config, run_bler
+
+# --nodes names a rung of the node-set ladder, as the latency columns do
+NODE_SETS = {label.lstrip("+"): opts for label, opts in option_sweep()}
 
 
 def _read_vector(stream):
@@ -25,15 +28,6 @@ def _read_vector(stream):
 
 def _write_vector(stream, vec, fmt):
     stream.write(" ".join(fmt % v for v in vec) + "\n")
-
-
-def _node_options(args):
-    names = args.nodes
-    return PlanOptions(
-        enable_grep=names in ("grep", "gpc", "rgpc"),
-        enable_gpc=names in ("gpc", "rgpc"),
-        max_af=args.max_af,
-    )
 
 
 def cmd_construct(args):
@@ -51,13 +45,13 @@ def cmd_decode(args):
     code = load_descriptor(args.code)
     llrs = _read_vector(sys.stdin)
     L = 4 if args.list is None else args.list
-    decode = batch_decoder(args.algo, code, _node_options(args), L, crc_by_name(args.crc))
+    decode = batch_decoder(args.algo, code, NODE_SETS[args.nodes], L, crc_by_name(args.crc))
     _write_vector(sys.stdout, decode(llrs[None, :])[0], "%d")
 
 
 def cmd_classify(args):
     code = load_descriptor(args.code)
-    plan = classify(code, _node_options(args))
+    plan = classify(code, NODE_SETS[args.nodes])
     if args.json:
         json.dump(plan.to_dict(), sys.stdout, indent=2)
         print()
@@ -113,8 +107,8 @@ def build_parser():
     p.set_defaults(func=cmd_encode)
 
     nodes = argparse.ArgumentParser(add_help=False)  # node-set options of decode and classify
-    nodes.add_argument("--nodes", choices=["base", "grep", "gpc", "rgpc"], default="gpc")
-    nodes.add_argument("--max-af", dest="max_af", type=int, choices=range(4), default=0)
+    nodes.add_argument("--nodes", choices=list(NODE_SETS), default="gpc",
+                       help="node-set rung; rgpc1-rgpc3 set the RG-PC AF budget (default gpc)")
 
     p = sub.add_parser("decode", parents=[nodes], help="decode an LLR vector from stdin")
     p.add_argument("--code", required=True)
@@ -144,11 +138,10 @@ def build_parser():
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
-    if getattr(args, "max_af", 0) and args.nodes != "rgpc":
-        ap.error("--max-af applies only with --nodes rgpc")
-    if getattr(args, "list", None) is not None and args.list < 1:
+    if args.command == "decode" and args.list is not None and args.list < 1:
         ap.error("--list must be >= 1")
-    if getattr(args, "algo", None) in ("sc", "fastssc") and (args.list or args.crc != "none"):
+    if args.command == "decode" and args.algo not in LIST_DECODERS and (
+            args.list or args.crc != "none"):
         ap.error("--list and --crc apply only with --algo scl or ssclspc")
     try:
         return args.func(args)

@@ -26,8 +26,8 @@ from .fastsc import fast_ssc_decode_batch
 from .fastscl import fast_scl_decode_batch
 from .listdec import scl_decode_batch
 
-__all__ = ["DECODERS", "SimConfig", "SimPoint", "SimResult", "awgn_bpsk_llrs", "run_bler",
-           "batch_decoder", "load_sim_config"]
+__all__ = ["DECODERS", "LIST_DECODERS", "SimConfig", "SimPoint", "SimResult", "awgn_bpsk_llrs",
+           "run_bler", "batch_decoder", "load_sim_config"]
 
 # decoder name -> (whether it walks the classified plan, batch call
 # (llrs, code, plan, L, crc) -> u_hat); the lambdas look the entry points
@@ -39,6 +39,7 @@ DECODERS = {
     "ssclspc": (True, lambda llrs, code, plan, L, crc:
                 fast_scl_decode_batch(llrs, code, plan, L, crc)[0]),
 }
+LIST_DECODERS = frozenset({"scl", "ssclspc"})  # the decoders that take a list size L
 
 
 def awgn_bpsk_llrs(x, sigma, rng):
@@ -88,6 +89,9 @@ class SimConfig:
         for name in ("list_size", "min_errors", "max_frames", "batch"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.list_size != 1 and self.decoder not in LIST_DECODERS:
+            raise ValueError(f"list_size applies only to the list decoders "
+                             f"{sorted(LIST_DECODERS)}; {self.decoder} needs list_size 1")
         self.plan_options()  # only the node-set ladder's rungs are accepted
         if not isinstance(self.snr_db, (list, tuple, np.ndarray)) or not all(
                 isinstance(s, numbers.Real) and not isinstance(s, bool) for s in self.snr_db):

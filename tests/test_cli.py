@@ -4,8 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from fastpolar.classify import PlanOptions, classify
-from fastpolar.cli import main
+from fastpolar.classify import classify, option_sweep, plan_stats
+from fastpolar.cli import NODE_SETS, main
 from fastpolar.codec import encode, sc_decode
 from fastpolar.construction import construct_code, load_descriptor, save_descriptor
 from fastpolar.crc import CRC8, crc_attach, crc_by_name
@@ -45,7 +45,7 @@ def test_encode_round_trip(code_file, monkeypatch, capsys):
     ("sc", []),
     ("fastssc", ["--nodes", "gpc"]),
     ("scl", ["--list", "4"]),
-    ("ssclspc", ["--list", "4", "--nodes", "rgpc", "--max-af", "2"]),
+    ("ssclspc", ["--list", "4", "--nodes", "rgpc2"]),
 ])
 def test_decode_noiseless(code_file, monkeypatch, capsys, algo, extra):
     code = load_descriptor(code_file)
@@ -58,34 +58,32 @@ def test_decode_noiseless(code_file, monkeypatch, capsys, algo, extra):
     assert np.array_equal(out, u)
 
 
-NODE_SETS = {"base": PlanOptions(), "gpc": PlanOptions(True, True),
-             "rgpc": PlanOptions(True, True, 2)}
-
-
 @pytest.mark.parametrize("algo", ["sc", "fastssc", "scl", "ssclspc"])
-@pytest.mark.parametrize("nodes", list(NODE_SETS))
-def test_decode_matches_library(code_file, monkeypatch, capsys, algo, nodes):
-    # noisy frames, where the decoders and node sets disagree with each other
+@pytest.mark.parametrize("family", ["base", "grep", "gpc", "rgpc"])
+def test_decode_matches_library(code_file, monkeypatch, capsys, algo, family):
+    # noisy frames, where the decoders and node sets disagree with each other;
+    # the rgpc family runs each of its AF budgets
     code = load_descriptor(code_file)
-    plan = classify(code, NODE_SETS[nodes])
     listed = algo in ("scl", "ssclspc")
     crcs = ["none", "crc8"] if listed else ["none"]
     rng = np.random.default_rng(7)
-    for crc in crcs:
-        u = np.zeros(32, np.uint8)
-        u[code.info_indices] = rng.integers(0, 2, 16, dtype=np.uint8)
-        llrs = 2.0 * ((1.0 - 2.0 * encode(u, code)) + 1.2 * rng.normal(size=32)) / 1.44
-        spec = crc_by_name(crc)
-        ref = {"sc": lambda: sc_decode(llrs, code),
-               "fastssc": lambda: fast_ssc_decode(llrs, plan),
-               "scl": lambda: scl_decode(llrs, code, 4, spec),
-               "ssclspc": lambda: fast_scl_decode(llrs, code, plan, 4, spec)}
-        feed(monkeypatch, " ".join(repr(float(v)) for v in llrs))
-        # an explicit --crc none is accepted by the SC decoders, a --list is not
-        main(["decode", "--code", str(code_file), "--algo", algo, "--nodes", nodes,
-              "--crc", crc] + ["--list", "4"] * listed + ["--max-af", "2"] * (nodes == "rgpc"))
-        out = np.array(capsys.readouterr().out.split(), np.uint8)
-        assert np.array_equal(out, ref[algo]()[0]), crc
+    for nodes in [rung for rung in NODE_SETS if rung.rstrip("123") == family]:
+        plan = classify(code, NODE_SETS[nodes])
+        for crc in crcs:
+            u = np.zeros(32, np.uint8)
+            u[code.info_indices] = rng.integers(0, 2, 16, dtype=np.uint8)
+            llrs = 2.0 * ((1.0 - 2.0 * encode(u, code)) + 1.2 * rng.normal(size=32)) / 1.44
+            spec = crc_by_name(crc)
+            ref = {"sc": lambda: sc_decode(llrs, code),
+                   "fastssc": lambda: fast_ssc_decode(llrs, plan),
+                   "scl": lambda: scl_decode(llrs, code, 4, spec),
+                   "ssclspc": lambda: fast_scl_decode(llrs, code, plan, 4, spec)}
+            feed(monkeypatch, " ".join(repr(float(v)) for v in llrs))
+            # an explicit --crc none is accepted by the SC decoders, a --list is not
+            main(["decode", "--code", str(code_file), "--algo", algo, "--nodes", nodes,
+                  "--crc", crc] + ["--list", "4"] * listed)
+            out = np.array(capsys.readouterr().out.split(), np.uint8)
+            assert np.array_equal(out, ref[algo]()[0]), (nodes, crc)
 
 
 def test_plain_and_fast_decoders_agree_by_default(tmp_path, monkeypatch, capsys):
@@ -227,19 +225,40 @@ def test_classify_text_and_json(code_file, capsys):
     assert tree["stage"] == 5 and tree["offset"] == 0
 
 
+@pytest.mark.parametrize("n,K", [(5, 16), (6, 32)])
+def test_every_rung_is_reachable(tmp_path, capsys, n, K):
+    # --nodes <rung> prints the library's plan for that rung of option_sweep()
+    path = tmp_path / "code.json"
+    code = construct_code(n, K, 0.5)
+    save_descriptor(code, path)
+    rgpc_counts = []
+    for label, opts in option_sweep():
+        plan = classify(code, opts)
+        args = ["classify", "--code", str(path), "--nodes", label.lstrip("+")]
+        main(args + ["--json"])
+        assert capsys.readouterr().out == json.dumps(plan.to_dict(), indent=2) + "\n", label
+        main(args)
+        stats = capsys.readouterr().out.splitlines()[-1]
+        assert stats == "stats: " + json.dumps(plan_stats(plan), sort_keys=True), label
+        rgpc_counts.append(plan_stats(plan).get("rgpc", 0))
+    if (n, K) == (6, 32):  # this code has RG-PC nodes at every AF budget
+        assert all(rgpc_counts[3:]), rgpc_counts
+
+
 @pytest.mark.parametrize("command", ["classify", "decode"])
-@pytest.mark.parametrize("nodes", ["base", "grep", "gpc"])
-def test_max_af_needs_rgpc_nodes(code_file, capsys, command, nodes):
+@pytest.mark.parametrize("nodes", list(NODE_SETS))
+def test_max_af_is_a_usage_error(code_file, capsys, command, nodes):
+    # the AF budget is part of the rung's name; there is no --max-af option
     with pytest.raises(SystemExit) as exc:
         main([command, "--code", str(code_file), "--nodes", nodes, "--max-af", "3"])
     assert exc.value.code == 2
-    assert "--max-af" in capsys.readouterr().err
+    assert "unrecognized arguments: --max-af 3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
-    ["classify", "--nodes", "rgpc", "--max-af", "4"],
-    ["classify", "--nodes", "rgpc", "--max-af", "-1"],
-    ["decode", "--nodes", "rgpc", "--max-af", "4"],
+    ["classify", "--nodes", "rgpc"],  # a bare rgpc names no AF budget
+    ["classify", "--nodes", "rgpc4"],
+    ["decode", "--nodes", "rgpc0"],
     ["decode", "--algo", "scl", "--list", "0"],
     ["decode", "--algo", "ssclspc", "--list", "-2"],
 ])

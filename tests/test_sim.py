@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from fastpolar.construction import PolarCode, construct_code, save_descriptor
 from fastpolar.crc import CRC8, CRC16, CrcSpec
-from fastpolar.sim import (SimConfig, _gen_frames, awgn_bpsk_llrs, load_sim_config, run_bler,
-                           wilson_interval)
+from fastpolar.sim import (LIST_DECODERS, SimConfig, _gen_frames, awgn_bpsk_llrs, load_sim_config,
+                           run_bler, wilson_interval)
 from helpers import gen_frames_per_frame
 
 
@@ -135,6 +135,15 @@ def test_config_validation():
     for field in ("batch", "max_frames", "list_size"):
         with pytest.raises(ValueError, match=field):
             SimConfig(code=code, **{field: 0})
+    # the SC decoders take no list; a CRC still sets their payload size and Eb/N0
+    for decoder, L in (("sc", 8), ("fastssc", 2)):
+        with pytest.raises(ValueError, match=f"list_size applies only.*{decoder} needs"):
+            SimConfig(code=code, decoder=decoder, list_size=L)
+    wide = construct_code(5, 16, 0.5)
+    for decoder in ("sc", "fastssc"):
+        assert SimConfig(code=wide, decoder=decoder, crc=CRC8).payload_bits == 8
+    for decoder in LIST_DECODERS:
+        SimConfig(code=wide, decoder=decoder, list_size=8, crc=CRC8)
     for snr in ((np.nan,), (np.inf,), (1.0, np.inf)):
         with pytest.raises(ValueError, match="snr_db must be finite"):
             SimConfig(code=code, snr_db=snr)
@@ -182,7 +191,8 @@ def test_snr_bound_keeps_fg_updates_finite(n, K, bad, good):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for decoder in ("sc", "fastssc", "scl", "ssclspc"):
-            cfg = SimConfig(code=code, decoder=decoder, snr_db=(good,), list_size=4,
+            cfg = SimConfig(code=code, decoder=decoder, snr_db=(good,),
+                            list_size=4 if decoder in LIST_DECODERS else 1,
                             enable_grep=True, enable_gpc=True, max_frames=32, batch=16)
             assert run_bler(cfg).points[0].frame_errors == 0
 
