@@ -10,13 +10,19 @@ the leading frozen run, RG-PC ignoring the frozen (AF) bits after it.
 """
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
+from .crc import check_field_types
+
 __all__ = ["PlanOptions", "DecodePlan", "classify", "leaves_only_plan", "plan_stats",
            "option_sweep"]
+
+
+_LADDER = {"base": (False, False, 0), "+grep": (True, False, 0), "+gpc": (True, True, 0),
+           **{f"+rgpc{k}": (True, True, k) for k in (1, 2, 3)}}
 
 
 @dataclass(frozen=True)
@@ -26,22 +32,15 @@ class PlanOptions:
     max_af: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.max_af <= 3:
-            raise ValueError("max_af must be in 0..3")
-        if self.enable_gpc and not self.enable_grep:
-            raise ValueError("enable_gpc needs enable_grep: G-PC is the rung after G-Rep")
-        if self.max_af and not self.enable_gpc:
-            raise ValueError("max_af > 0 needs enable_gpc: RG-PC is the rung after G-PC")
+        check_field_types(self)
+        if astuple(self) not in _LADDER.values():
+            raise ValueError(f"(enable_grep, enable_gpc, max_af) = {astuple(self)} is not a "
+                             f"rung of the node-set ladder, one of {list(_LADDER.values())}")
 
 
 def option_sweep():
     """The progressive node-set columns: base, +G-Rep, +G-PC, +RG-PC(k AF)."""
-    cols = [("base", PlanOptions()),
-            ("+grep", PlanOptions(enable_grep=True)),
-            ("+gpc", PlanOptions(enable_grep=True, enable_gpc=True))]
-    for k in (1, 2, 3):
-        cols.append((f"+rgpc{k}", PlanOptions(enable_grep=True, enable_gpc=True, max_af=k)))
-    return cols
+    return [(label, PlanOptions(*rung)) for label, rung in _LADDER.items()]
 
 
 @dataclass(frozen=True)
@@ -71,7 +70,7 @@ class DecodePlan:
     @property
     def children(self):
         """Sub-plans by field name, in decode order."""
-        return {f: getattr(self, f) for f in _CHILD_FIELDS.get(self.kind, ())}
+        return {f: getattr(self, f) for f in ("left", "right", "rate_c") if getattr(self, f)}
 
     def leaves(self):
         """The nodes that tile the block: everything except splits."""
@@ -110,9 +109,6 @@ class DecodePlan:
             if self.kind == "rgpc":
                 d["af_positions"] = list(self.af_positions)
         return d
-
-
-_CHILD_FIELDS = {"split": ("left", "right"), "grep": ("rate_c",)}
 
 
 def _match_grep(flags, stage, offset, z, opts):

@@ -97,6 +97,8 @@ def _llr_batch(channel_llrs, N, minsum):
     if type(minsum) not in (bool, np.bool_) or not minsum:
         raise ValueError(f"minsum must be True, got {minsum!r}: the exact f-update was "
                          f"removed, and every decoder uses min-sum")
+    if np.iscomplexobj(channel_llrs):  # a float cast would drop the imaginary part
+        raise ValueError("channel LLRs must be real, got a complex array")
     alpha = np.asarray(channel_llrs, dtype=np.float64)
     if alpha.ndim not in (1, 2):
         raise ValueError(f"expected a (B, {N}) batch or one frame of {N} LLRs, "

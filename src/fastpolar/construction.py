@@ -99,10 +99,6 @@ class PolarCode:
         return 1 << self.n
 
     @property
-    def rate(self):
-        return self.K / self.N
-
-    @property
     def frozen_indices(self):
         return np.flatnonzero(self.flags == 0)
 

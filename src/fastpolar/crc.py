@@ -12,7 +12,7 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = ["CrcSpec", "CRC8", "CRC16", "CRC_NAMES", "crc_by_name", "crc_bits", "crc_attach",
-           "crc_check", "crc_check_batch"]
+           "crc_check_batch"]
 
 
 def check_field_types(obj):
@@ -80,12 +80,6 @@ def crc_attach(payload, spec):
     """Append the CRC to every bit vector along the last axis of ``payload``."""
     payload = np.asarray(payload, dtype=np.uint8)
     return np.concatenate([payload, _crc_batch(payload, spec)], axis=-1)
-
-
-def crc_check(bits, spec):
-    """Whether a 1-D bit vector ends in the CRC of the bits before it."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    return bits.size >= spec.width and bool(crc_check_batch(bits, spec))
 
 
 @lru_cache(maxsize=32)

@@ -1,7 +1,8 @@
 """Fast SC decoding of special nodes and the plan-driven decoder.
 
 ``fast_ssc_decode_batch`` walks a DecodePlan and is bit-exact with plain
-SC when only exact node kinds (everything except RG-PC) appear in the plan.
+SC on the code or, for a plan with RG-PC nodes, on its relaxed code (every
+AF bit unfrozen).
 Plain SC is this walker on the leaves-only plan.  The node decoders are
 the walker's internal kernels: they work on the leading (positions) axis,
 broadcast over trailing batch axes and check nothing, since the entry

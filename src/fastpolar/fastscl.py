@@ -4,11 +4,12 @@ Rate-0, Rep and Rate-1 nodes extend the path set at the node root; G-Rep
 folds its LLRs onto the Rate-C child; SPC, G-PC and RG-PC are walked as
 split shapes of Rate-0 and Rate-1 nodes (SPC is G-PC with Np = 1).  The
 surviving path set (bit histories and metrics) matches tree-descent SCL
-for every node kind except RG-PC, whose metrics are exact only for a
-descent that ignores its AF bits.
+on the code or, for a plan with RG-PC nodes, on its relaxed code: the code
+with every AF bit unfrozen, since RG-PC decodes its AF bits as information.
 Plain SCL is this walker on the leaves-only plan.
 """
 
+import numbers
 from functools import lru_cache
 
 import numpy as np
@@ -130,8 +131,8 @@ def _extend_node(ps, alpha, plan):
 
 def _decode_paths(alpha, plan, L):
     """Walk ``plan`` over (N, B) LLRs; returns (u (B, P, N), pm) sorted by metric."""
-    if L < 1:
-        raise ValueError("list size must be >= 1")
+    if type(L) is bool or not isinstance(L, numbers.Integral) or L < 1:
+        raise ValueError(f"list size L must be an integer >= 1, got {L!r}")
     ps = PathSet(alpha.shape[1], L)
     beta, _ = _extend_node(ps, alpha[:, :, None], plan)
     order = np.argsort(ps.pm, axis=1, kind="stable")
@@ -146,6 +147,8 @@ def fast_scl_decode_paths_batch(channel_llrs, plan, L, minsum=True):
 
 def fast_scl_decode_batch(channel_llrs, code, plan, L, crc=None, minsum=True):
     """Batched fast SCL decode; returns (u_hat (B, N), pm (B,))."""
+    if plan.size != code.N:
+        raise ValueError(f"a plan of size {plan.size} cannot decode a code of length {code.N}")
     u, pm = fast_scl_decode_paths_batch(channel_llrs, plan, L, minsum)
     return select_output(u, pm, code, crc)
 

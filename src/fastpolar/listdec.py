@@ -12,7 +12,7 @@ import numpy as np
 
 from .classify import leaves_only_plan
 from .codec import _llr_batch, _one_frame
-from .crc import crc_check_batch
+from .crc import CrcSpec, crc_check_batch
 
 __all__ = ["scl_decode", "scl_decode_batch", "scl_decode_paths_batch", "select_output"]
 
@@ -100,6 +100,8 @@ def select_output(u, pm, code, crc=None):
     ``u``/``pm`` must be sorted by metric.  With a CRC, the best path whose
     unfrozen payload passes wins; if none passes, fall back to lowest metric.
     """
+    if crc is not None and not isinstance(crc, CrcSpec):
+        raise ValueError(f"crc must be None or a CrcSpec, got {crc!r}")
     B, P, _ = u.shape
     best = np.zeros(B, dtype=np.int64)
     if crc is not None:

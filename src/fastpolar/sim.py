@@ -89,6 +89,8 @@ class SimConfig:
         for name in ("list_size", "min_errors", "max_frames", "batch"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if not 0 <= self.seed < 1 << 64:  # the Philox key holds 64 bits of it
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.list_size != 1 and self.decoder not in LIST_DECODERS:
             raise ValueError(f"list_size applies only to the list decoders "
                              f"{sorted(LIST_DECODERS)}; {self.decoder} needs list_size 1")
@@ -186,8 +188,7 @@ def wilson_interval(k, n):
 
 def _frame_key(seed, snr_idx, frame_idx):
     """The two 64-bit words of a frame's Philox key."""
-    return (seed & 0xFFFFFFFFFFFFFFFF,
-            ((snr_idx & 0xFFFFFF) << 40) | (frame_idx & 0xFFFFFFFFFF))
+    return seed, ((snr_idx & 0xFFFFFF) << 40) | (frame_idx & 0xFFFFFFFFFF)
 
 
 def _frame_rng(seed, snr_idx, frame_idx):

@@ -3,6 +3,7 @@
 import numpy as np
 
 from fastpolar.codec import encode, polar_transform
+from fastpolar.construction import PolarCode
 from fastpolar.crc import crc_bits
 from fastpolar.sim import _frame_rng
 
@@ -25,6 +26,20 @@ def g_step(alpha, beta_left):
 
 def combine(beta_left, beta_right):
     return np.concatenate([beta_left ^ beta_right, beta_right], axis=-1)
+
+
+def relaxed_code(code, plan):
+    """The code that leaves every RG-PC node's AF bits unfrozen.
+
+    An RG-PC node decodes its AF bits as information bits, so ``plan``
+    decodes exactly as plain SC and SCL (and the descent oracles) do on this
+    code; a plan without RG-PC nodes gives the code's own flags.
+    """
+    flags = code.flags.copy()
+    for node in plan.walk():
+        if node.kind == "rgpc":
+            flags[[node.offset + af for af in node.af_positions]] = 1
+    return PolarCode(code.n, int(flags.sum()), flags, code.design_sigma)
 
 
 def kron_generator(n):

@@ -145,6 +145,8 @@ def test_leaf_count_monotone_in_af():
 def test_option_sweep_labels():
     labels = [name for name, _ in option_sweep()]
     assert labels == ["base", "+grep", "+gpc", "+rgpc1", "+rgpc2", "+rgpc3"]
+    assert LADDER == [(False, False, 0), (True, False, 0), (True, True, 0),
+                      (True, True, 1), (True, True, 2), (True, True, 3)]
 
 
 def test_rep_subsumed_by_grep():
@@ -168,14 +170,19 @@ def test_spc_is_np1_gpc():
 
 
 def test_invalid_max_af():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a rung"):
         PlanOptions(max_af=4)
     off = [(g, p, af) for g in (False, True) for p in (False, True) for af in range(4)
            if (g, p, af) not in LADDER]
     assert len(off) == 10
     for combo in off:
-        with pytest.raises(ValueError, match="needs enable_"):
+        with pytest.raises(ValueError, match="not a rung"):
             PlanOptions(*combo)
+    # a truthy string, 1 for True, True for 1 and 2.5 for 2 are refused by type
+    for field, value in (("enable_grep", "no"), ("enable_gpc", 1), ("max_af", 2.5),
+                         ("max_af", True)):
+        with pytest.raises(ValueError, match=field):
+            PlanOptions(**{"enable_grep": True, "enable_gpc": True, field: value})
 
 
 @given(st.integers(2, 6), st.integers(0, 10 ** 6))
@@ -216,7 +223,7 @@ def test_parity_nodes_under_every_option_combination(n, seed, grep, gpc, max_af)
     # only the six rungs of the node-set ladder are accepted; the other ten
     # of the 2 x 2 x 4 combinations raise when the options are made
     if (grep, gpc, max_af) not in LADDER:
-        with pytest.raises(ValueError, match="needs enable_"):
+        with pytest.raises(ValueError, match="not a rung"):
             PlanOptions(grep, gpc, max_af)
         return
     rng = np.random.default_rng(seed)

@@ -7,6 +7,7 @@ import helpers
 from fastpolar.classify import PlanOptions, classify
 from fastpolar.codec import combine, encode, f_step, g_step, polar_transform, sc_decode, sc_decode_batch
 from fastpolar.construction import PolarCode, construct_code
+from fastpolar.crc import CRC8
 from fastpolar.fastsc import fast_ssc_decode, fast_ssc_decode_batch
 from fastpolar.fastscl import fast_scl_decode, fast_scl_decode_batch, fast_scl_decode_paths_batch
 from fastpolar.listdec import scl_decode, scl_decode_batch, scl_decode_paths_batch
@@ -34,6 +35,14 @@ def test_encode_rejects_nonzero_frozen():
     u[int(code.frozen_indices[0])] = 1
     with pytest.raises(ValueError):
         encode(u, code)
+
+
+def test_wrong_lengths_rejected():
+    with pytest.raises(ValueError, match="u must have length 16"):
+        encode(np.zeros(8, np.uint8), construct_code(4, 8, 0.5))
+    for length in (3, 6, 12):
+        with pytest.raises(ValueError, match="length must be a power of two"):
+            polar_transform(np.zeros((2, length), np.uint8))
 
 
 @pytest.mark.parametrize("bad", [2, -1, 256, 0.5])
@@ -222,23 +231,27 @@ def _entry_points():
     plan = classify(code, PlanOptions(enable_grep=True, enable_gpc=True))
     single = {"sc_decode": lambda x, **kw: sc_decode(x, code, **kw),
               "fast_ssc_decode": lambda x, **kw: fast_ssc_decode(x, plan, **kw),
-              "scl_decode": lambda x, **kw: scl_decode(x, code, 4, **kw),
-              "fast_scl_decode": lambda x, **kw: fast_scl_decode(x, code, plan, 4, **kw)}
+              "scl_decode": lambda x, L=4, **kw: scl_decode(x, code, L, **kw),
+              "fast_scl_decode": lambda x, L=4, **kw: fast_scl_decode(x, code, plan, L, **kw)}
     batch = {"sc_decode_batch": lambda x, **kw: sc_decode_batch(x, code, **kw),
              "fast_ssc_decode_batch": lambda x, **kw: fast_ssc_decode_batch(x, plan, **kw),
-             "scl_decode_batch": lambda x, **kw: scl_decode_batch(x, code, 4, **kw),
-             "scl_decode_paths_batch": lambda x, **kw: scl_decode_paths_batch(x, code, 4, **kw),
-             "fast_scl_decode_batch": lambda x, **kw: fast_scl_decode_batch(x, code, plan, 4,
-                                                                             **kw),
-             "fast_scl_decode_paths_batch": lambda x, **kw: fast_scl_decode_paths_batch(
-                 x, plan, 4, **kw)}
+             "scl_decode_batch": lambda x, L=4, **kw: scl_decode_batch(x, code, L, **kw),
+             "scl_decode_paths_batch": lambda x, L=4, **kw: scl_decode_paths_batch(
+                 x, code, L, **kw),
+             "fast_scl_decode_batch": lambda x, L=4, **kw: fast_scl_decode_batch(
+                 x, code, plan, L, **kw),
+             "fast_scl_decode_paths_batch": lambda x, L=4, **kw: fast_scl_decode_paths_batch(
+                 x, plan, L, **kw)}
     return single, batch
 
 
-@pytest.mark.parametrize("name", ["sc_decode", "fast_ssc_decode", "scl_decode",
-                                  "fast_scl_decode", "sc_decode_batch", "fast_ssc_decode_batch",
-                                  "scl_decode_batch", "scl_decode_paths_batch",
-                                  "fast_scl_decode_batch", "fast_scl_decode_paths_batch"])
+ENTRY_POINTS = ["sc_decode", "fast_ssc_decode", "scl_decode", "fast_scl_decode", "sc_decode_batch",
+                "fast_ssc_decode_batch", "scl_decode_batch", "scl_decode_paths_batch",
+                "fast_scl_decode_batch", "fast_scl_decode_paths_batch"]
+LIST_ENTRY_POINTS = [name for name in ENTRY_POINTS if "scl" in name]
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
 def test_entry_points_accept_only_minsum(name):
     # min-sum is the only f-update: the keyword refuses False instead of
     # ignoring it, and True (as the benchmark passes it) is the default
@@ -289,3 +302,35 @@ def test_batch_entry_points_keep_frames_first_layout(name):
     for out in ref:
         assert out.shape[0] == 5 and out.flags.c_contiguous
     assert ref[0].shape == ((5, 4, 16) if name.endswith("paths_batch") else (5, 16))
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_entry_points_reject_complex_llrs(name):
+    # a float cast would keep the real part, with only a ComplexWarning
+    single, batch = _entry_points()
+    decode = {**single, **batch}[name]
+    llrs = np.random.default_rng(4).normal(size=16) * 2
+    for bad in (llrs + 1j, llrs.astype(np.complex128), list(llrs + 0.5j)):
+        with pytest.raises(ValueError, match="channel LLRs must be real"):
+            decode(bad)
+
+
+@pytest.mark.parametrize("name", LIST_ENTRY_POINTS)
+def test_list_entry_points_check_list_size_and_crc(name):
+    # 4.0 and 2.5 used to fail with a TypeError deep in a fork, and True ran
+    # as L = 1; a CRC name used to fail with an AttributeError after decoding
+    single, batch = _entry_points()
+    decode = {**single, **batch}[name]
+    llrs = np.random.default_rng(5).normal(size=16) * 2
+    for bad in (0, -2, 4.0, 2.5, True, "4", None):
+        with pytest.raises(ValueError, match="list size L must be an integer >= 1"):
+            decode(llrs, L=bad)
+    ref = decode(llrs, L=4)
+    for got, want in zip(decode(llrs, L=np.int64(4)), ref):
+        assert np.array_equal(got, want)
+    if "paths" in name:
+        return
+    for bad in ("crc8", 8, {"width": 8}):
+        with pytest.raises(ValueError, match="crc must be None or a CrcSpec"):
+            decode(llrs, crc=bad)
+    assert decode(llrs, crc=CRC8)[0].shape[-1] == 16

@@ -115,6 +115,18 @@ def test_descriptor_rejects_repeated_frozen_indices(tmp_path, with_k):
         load_descriptor(path)
 
 
+@pytest.mark.parametrize("desc,message", [
+    ({"n": 3, "frozen_indices": [0, 1, 8]}, "frozen_indices out of range"),
+    ({"n": 3, "frozen_indices": [-1, 0, 1]}, "frozen_indices out of range"),
+    ({"n": 3, "K": 4, "frozen_indices": [0, 1, 2]}, "descriptor K inconsistent"),
+])
+def test_descriptor_rejects_inconsistent_fields(tmp_path, desc, message):
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps(desc))
+    with pytest.raises(ValueError, match=message):
+        load_descriptor(path)
+
+
 @pytest.mark.parametrize("field,value", [
     ("n", 4.7), ("n", 3.0), ("n", True), ("n", "3"),
     ("K", 4.0), ("K", True), ("frozen", 7.5), ("frozen", False),
@@ -141,3 +153,5 @@ def test_invalid_parameters():
         construct_code(3, 4, 0.0)
     with pytest.raises(ValueError):
         PolarCode(3, 4, np.zeros(8, dtype=np.uint8), 0.5)
+    with pytest.raises(ValueError, match="flags must have length 8"):
+        PolarCode(3, 4, np.ones(4, dtype=np.uint8), 0.5)

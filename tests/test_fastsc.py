@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fastpolar.classify import PlanOptions, classify, option_sweep
-from fastpolar.codec import encode, g_step, sc_decode, sc_decode_batch
+from fastpolar.codec import encode, g_step, polar_transform, sc_decode, sc_decode_batch
 from fastpolar.construction import PolarCode, construct_code
 from fastpolar.fastsc import (decode_gpc_sc, decode_grep_sc, fast_ssc_decode, fast_ssc_decode_batch,
                               grep_fold, wagner_decode)
-from helpers import ml_even_parity, sc_descent_batch, wagner_per_row
+from helpers import ml_even_parity, relaxed_code, sc_descent_batch, wagner_per_row
 
 GEN = PlanOptions(enable_grep=True, enable_gpc=True)
 
@@ -190,16 +190,30 @@ def test_default_f_rule_matches_sc():
 @given(st.integers(0, 7), st.integers(0, 10 ** 6))
 @settings(max_examples=80, deadline=None)
 def test_random_patterns_every_rung(n, seed):
-    # every node kind on random frozen patterns, min-sum.  RG-PC ignores
-    # its AF frozen bits, so it is left out
+    # every node kind on random frozen patterns, min-sum.  RG-PC decodes its
+    # AF bits as information bits, so each rung's reference is the relaxed code
     rng = np.random.default_rng(seed)
     code = make_code(rng.random(1 << n) < rng.uniform(0.1, 0.9))
     llrs = rng.normal(size=(16, code.N)) * 2.5
-    u_ref, x_ref = sc_descent_batch(llrs, code)
     for label, opts in option_sweep():
-        if not opts.max_af:
-            u, x = fast_ssc_decode_batch(llrs, classify(code, opts))
-            assert np.array_equal(u, u_ref) and np.array_equal(x, x_ref), label
+        plan = classify(code, opts)
+        u_ref, x_ref = sc_descent_batch(llrs, relaxed_code(code, plan))
+        u, x = fast_ssc_decode_batch(llrs, plan)
+        assert np.array_equal(u, u_ref) and np.array_equal(x, x_ref), label
+
+
+@given(st.integers(5, 10), st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_rgpc_rungs_are_sc_on_the_relaxed_code(n, quarters, max_af, seed):
+    # N 32 to 1024 at K = N/4, N/2 and 3N/4, on noisy codewords
+    code = construct_code(n, quarters << (n - 2), 0.5)
+    plan = classify(code, PlanOptions(True, True, max_af))
+    rng = np.random.default_rng(seed)
+    x = polar_transform(rng.integers(0, 2, (8, code.N), dtype=np.uint8) * code.flags)
+    llrs = (1.0 - 2.0 * x) * 1.2 + rng.normal(size=x.shape)
+    u, x_hat = fast_ssc_decode_batch(llrs, plan)
+    u_ref, x_ref = sc_decode_batch(llrs, relaxed_code(code, plan))
+    assert np.array_equal(x_hat, x_ref) and np.array_equal(u, u_ref)
 
 
 @pytest.mark.xfail(strict=True, reason="a Rate-1 node decides an exact-zero LLR as 0; "

@@ -7,10 +7,11 @@ from fastpolar import fastsc, fastscl
 from fastpolar.classify import PlanOptions, classify, leaves_only_plan, option_sweep
 from fastpolar.codec import encode, polar_transform
 from fastpolar.construction import PolarCode, construct_code
+from fastpolar.crc import CRC8, crc_attach
 from fastpolar.fastsc import fast_ssc_decode_batch
 from fastpolar.fastscl import fast_scl_decode, fast_scl_decode_batch, fast_scl_decode_paths_batch
-from fastpolar.listdec import PathSet, scl_decode, select_output
-from helpers import canon_paths, path_metric_of, scl_descent_paths_batch
+from fastpolar.listdec import PathSet, scl_decode, scl_decode_paths_batch, select_output
+from helpers import canon_paths, path_metric_of, relaxed_code, scl_descent_paths_batch
 
 GEN = PlanOptions(enable_grep=True, enable_gpc=True)
 
@@ -117,20 +118,17 @@ def test_rgpc_metric_matches_relaxed_descent():
 @settings(max_examples=60, deadline=None)
 def test_random_patterns_every_rung(n, seed, L):
     # SPC (base rung), G-PC and RG-PC nodes share one list extension, so
-    # every rung's path set is checked against the tree-descent oracle
+    # every rung's path set is checked against the tree-descent oracle, on
+    # the relaxed code for the RG-PC rungs
     rng = np.random.default_rng(seed)
     code = make_code(rng.random(1 << n) < rng.uniform(0.2, 0.9))
     llrs = rng.normal(size=(8, code.N)) * 2.5
-    u_ref, pm_ref = scl_descent_paths_batch(llrs, code, L)
     for label, opts in option_sweep():
-        u, pm = fast_scl_decode_paths_batch(llrs, classify(code, opts), L)
+        plan = classify(code, opts)
+        u_ref, pm_ref = scl_descent_paths_batch(llrs, relaxed_code(code, plan), L)
+        u, pm = fast_scl_decode_paths_batch(llrs, plan, L)
         for b in range(len(llrs)):
-            if opts.max_af:
-                for p in range(u.shape[1]):
-                    ref = path_metric_of(llrs[b], u[b, p])
-                    assert pm[b, p] == pytest.approx(ref, rel=1e-9, abs=1e-9), label
-            else:
-                assert canon_paths(u[b], pm[b]) == canon_paths(u_ref[b], pm_ref[b]), label
+            assert canon_paths(u[b], pm[b]) == canon_paths(u_ref[b], pm_ref[b]), label
 
 
 @pytest.mark.parametrize("plan_of", [lambda code: classify(code, GEN), leaves_only_plan],
@@ -173,6 +171,26 @@ def test_metric_gap_to_descent_is_bounded(n):
                 u, pm = fast_scl_decode_paths_batch(llrs, classify(code, opts), L)
                 assert np.array_equal(u, u_ref), (K, L, label)
                 assert np.all(np.abs(pm - pm_ref) <= METRIC_GAP_BOUND * np.abs(pm_ref)), (K, L, label)
+
+
+@given(st.integers(5, 10), st.integers(1, 3), st.integers(1, 3), st.sampled_from([4, 8]),
+       st.integers(0, 2**32 - 1))
+# fixed draws: the bound is empirical, and the largest gap over 1,500 random
+# draws of this space was 1.34e-15
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_rgpc_rungs_are_scl_on_the_relaxed_code(n, quarters, max_af, L, seed):
+    # N 32 to 1024 at K = N/4, N/2 and 3N/4, on noisy codewords: the RG-PC
+    # rungs keep plain SCL's path sets on the relaxed code, with the exact
+    # nodes' metric bound
+    code = construct_code(n, quarters << (n - 2), 0.5)
+    plan = classify(code, PlanOptions(True, True, max_af))
+    rng = np.random.default_rng(seed)
+    x = polar_transform(rng.integers(0, 2, (8, code.N), dtype=np.uint8) * code.flags)
+    llrs = (1.0 - 2.0 * x) * 1.2 + rng.normal(size=x.shape)
+    u, pm = fast_scl_decode_paths_batch(llrs, plan, L)
+    u_ref, pm_ref = scl_decode_paths_batch(llrs, relaxed_code(code, plan), L)
+    assert np.array_equal(u, u_ref)
+    assert np.all(np.abs(pm - pm_ref) <= METRIC_GAP_BOUND * np.abs(pm_ref))
 
 
 # the SC walker's kernels that each node kind calls, besides f/g/combine
@@ -322,8 +340,6 @@ def test_rgpc_may_violate_frozen_bits_without_error():
 
 
 def test_crc_aided_selection():
-    from fastpolar.crc import CRC8, crc_attach
-
     code = construct_code(6, 24, 0.5)
     plan = classify(code, GEN)
     rng = np.random.default_rng(23)
@@ -339,8 +355,6 @@ def test_crc_aided_selection():
 def test_default_f_rule_matches_scl():
     # scl and ssclspc keep the same path sets with default arguments: both
     # default to min-sum
-    from fastpolar.crc import CRC8
-
     code = construct_code(8, 128, 0.5)
     plan = classify(code, GEN)
     rng = np.random.default_rng(37)
@@ -359,6 +373,19 @@ def test_invalid_list_size():
     plan = classify(code, GEN)
     with pytest.raises(ValueError):
         fast_scl_decode_paths_batch(np.zeros((1, 8)), plan, 0)
+
+
+def test_plan_must_match_code_length():
+    # an N = 64 plan with an N = 128 code used to return 64-bit u_hat, and
+    # with CRC8 to fail with an IndexError
+    code = construct_code(7, 64, 0.5)
+    plan = classify(construct_code(6, 32, 0.5), GEN)
+    llrs = np.random.default_rng(6).normal(size=(2, 64))
+    for crc in (None, CRC8):
+        with pytest.raises(ValueError, match="plan of size 64 cannot decode a code of length 128"):
+            fast_scl_decode_batch(llrs, code, plan, 4, crc)
+        with pytest.raises(ValueError, match="plan of size 64 cannot decode a code of length 128"):
+            fast_scl_decode(llrs[0], code, plan, 4, crc)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

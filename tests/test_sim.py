@@ -135,6 +135,11 @@ def test_config_validation():
     for field in ("batch", "max_frames", "list_size"):
         with pytest.raises(ValueError, match=field):
             SimConfig(code=code, **{field: 0})
+    # the frame key holds 64 bits of the seed: 3 + 2**64 and -1 would alias 3 and 2**64 - 1
+    for seed in (-1, 3 + 2**64, 2**64):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+            SimConfig(code=code, seed=seed)
+    SimConfig(code=code, seed=2**64 - 1)
     # the SC decoders take no list; a CRC still sets their payload size and Eb/N0
     for decoder, L in (("sc", 8), ("fastssc", 2)):
         with pytest.raises(ValueError, match=f"list_size applies only.*{decoder} needs"):
