@@ -1,12 +1,12 @@
 """Decode-tree pruning: turn a frozen-flag vector into a plan of special nodes.
 
-Matching is top-down at every node with a fixed precedence: Rate-0,
-Rate-1, G-Rep (smallest Rate-C), G-PC, RG-PC (within the AF budget), Rep,
-SPC, otherwise split and recurse.  The node sets are the paper's ladder,
-each rung adding to the one before: base, +G-Rep, +G-PC, +RG-PC with an
-AF budget of 1 to 3.  The parity kinds share one block size
-Np: SPC has Np = 1, and G-PC and RG-PC take the largest power of two in
-the leading frozen run, RG-PC ignoring the frozen (AF) bits after it.
+Matching is top-down at every node, in the order ``_classify`` tests top
+to bottom: Rate-0, Rate-1, G-Rep (smallest Rate-C), G-PC, RG-PC (within
+the AF budget), Rep, SPC, otherwise split and recurse.  The node sets are
+the paper's ladder, each rung adding to the one before: base, +G-Rep,
++G-PC, +RG-PC with an AF budget of 1 to 3.  The parity kinds share one
+block size Np: SPC has Np = 1, and G-PC and RG-PC take the largest power
+of two in the leading frozen run, RG-PC ignoring the frozen (AF) bits after it.
 """
 
 from collections import Counter
@@ -72,14 +72,6 @@ class DecodePlan:
         """Sub-plans by field name, in decode order."""
         return {f: getattr(self, f) for f in ("left", "right", "rate_c") if getattr(self, f)}
 
-    def leaves(self):
-        """The nodes that tile the block: everything except splits."""
-        if self.kind == "split":
-            for child in self.children.values():
-                yield from child.leaves()
-        else:
-            yield self
-
     def walk(self):
         """Every node in pre-order, G-Rep Rate-C sub-plans included."""
         yield self
@@ -111,27 +103,6 @@ class DecodePlan:
         return d
 
 
-def _match_grep(flags, stage, offset, z, opts):
-    # everything left of the rightmost 2^p block frozen, p < stage
-    p = ((1 << stage) - z - 1).bit_length()  # smallest 2^p covering the rest
-    rc_off = (1 << stage) - (1 << p)
-    rate_c = _classify(flags[rc_off:], p, offset + rc_off, opts)
-    return DecodePlan("grep", stage, offset, rate_c=rate_c)
-
-
-def _match_parity(flags, stage, offset, z, ones, opts):
-    # Np is the largest power of two in the leading frozen run z >= 1; the
-    # frozen bits after it are the AF bits, counted without building them
-    np_sub = 1 << (z.bit_length() - 1)
-    n_af = (1 << stage) - np_sub - ones
-    if n_af == 0:
-        return DecodePlan("gpc", stage, offset, np_sub=np_sub)
-    if n_af > opts.max_af:
-        return None
-    af = tuple(int(i) for i in np.flatnonzero(flags[np_sub:] == 0) + np_sub)
-    return DecodePlan("rgpc", stage, offset, np_sub=np_sub, af_positions=af)
-
-
 def _classify(flags, stage, offset, opts):
     size = 1 << stage
     ones = int(flags.sum())
@@ -139,14 +110,23 @@ def _classify(flags, stage, offset, opts):
         return DecodePlan("rate0", stage, offset)
     if ones == size:
         return DecodePlan("rate1", stage, offset)
-    if opts.enable_grep:
-        z = int(flags.argmax())  # the leading frozen run
-        if z >= size // 2:
-            return _match_grep(flags, stage, offset, z, opts)
-        if z and opts.enable_gpc:
-            node = _match_parity(flags, stage, offset, z, ones, opts)
-            if node is not None:
-                return node
+    z = int(flags.argmax())  # the leading frozen run
+    if opts.enable_grep and z >= size // 2:
+        # everything left of the rightmost 2^p block frozen, p < stage
+        p = (size - z - 1).bit_length()  # smallest 2^p covering the rest
+        rc_off = size - (1 << p)
+        return DecodePlan("grep", stage, offset,
+                          rate_c=_classify(flags[rc_off:], p, offset + rc_off, opts))
+    if opts.enable_gpc and z:
+        # Np is the largest power of two in the leading frozen run; the
+        # frozen bits after it are the AF bits, counted without building them
+        np_sub = 1 << (z.bit_length() - 1)
+        n_af = size - np_sub - ones
+        if n_af == 0:
+            return DecodePlan("gpc", stage, offset, np_sub=np_sub)
+        if n_af <= opts.max_af:
+            af = tuple(int(i) for i in np.flatnonzero(flags[np_sub:] == 0) + np_sub)
+            return DecodePlan("rgpc", stage, offset, np_sub=np_sub, af_positions=af)
     if ones == 1 and flags[-1]:
         return DecodePlan("rep", stage, offset)
     if ones == size - 1 and not flags[0]:

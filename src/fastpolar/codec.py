@@ -116,11 +116,6 @@ def _llr_batch(channel_llrs, N, minsum):
     return np.ascontiguousarray(alpha.T)
 
 
-def _frames_first(x):
-    """A walker's positions-first (N, B) array as a C-contiguous (B, N) batch."""
-    return np.ascontiguousarray(x.T)
-
-
 def _one_frame(channel_llrs, N):
     """One frame's LLRs as a batch of one, for the single-frame entry points."""
     alpha = np.asarray(channel_llrs)
@@ -139,7 +134,7 @@ def sc_decode_batch(channel_llrs, code, minsum=True):
     from .fastsc import _decode_node
 
     alpha = _llr_batch(channel_llrs, code.N, minsum)
-    x_hat = _frames_first(_decode_node(alpha, leaves_only_plan(code)))
+    x_hat = np.ascontiguousarray(_decode_node(alpha, leaves_only_plan(code)).T)
     return polar_transform(x_hat), x_hat
 
 

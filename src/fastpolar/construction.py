@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
+from .crc import check_field_types
+
 __all__ = ["PolarCode", "construct_code", "save_descriptor", "load_descriptor"]
 
 # Two-segment approximation of phi(x) = 1 - E[tanh(z/2)], z ~ N(x, 2x).
@@ -87,6 +89,9 @@ class PolarCode:
     design_sigma: float = 0.5
 
     def __post_init__(self):
+        check_field_types(self)
+        if not np.isin(self.flags, (0, 1)).all():  # a cast to uint8 would wrap 257 to 1
+            raise ValueError("flags must hold only the bits 0 and 1")
         flags = np.ascontiguousarray(self.flags, dtype=np.uint8)
         object.__setattr__(self, "flags", flags)
         if flags.shape != (self.N,):
@@ -157,6 +162,8 @@ def load_descriptor(path):
     if isinstance(sigma, bool) or not isinstance(sigma, (int, float)):
         raise ValueError(f"design_sigma must be a number, got {sigma!r}")
     n = _integer(desc["n"], "n")
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     N = 1 << n
     frozen = sorted(_integer(i, "a frozen index") for i in desc["frozen_indices"])
     repeated = sorted({a for a, b in zip(frozen, frozen[1:]) if a == b})
@@ -164,7 +171,10 @@ def load_descriptor(path):
         raise ValueError(f"frozen_indices repeats {repeated}")
     if frozen and not 0 <= frozen[0] <= frozen[-1] < N:
         raise ValueError("frozen_indices out of range")
-    flags = np.ones(N, dtype=np.uint8)
+    try:
+        flags = np.ones(N, dtype=np.uint8)
+    except MemoryError:
+        raise ValueError(f"n = {n} is too large: 2**{n} code bits do not fit in memory") from None
     flags[frozen] = 0
     K = N - len(frozen)
     if "K" in desc and _integer(desc["K"], "K") != K:

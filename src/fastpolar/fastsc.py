@@ -11,7 +11,7 @@ points check the channel LLRs once and the plan fixes every node's size.
 
 import numpy as np
 
-from .codec import _frames_first, _llr_batch, _one_frame, combine, f_step, g_step, polar_transform
+from .codec import _llr_batch, _one_frame, combine, f_step, g_step, polar_transform
 
 __all__ = ["fast_ssc_decode", "fast_ssc_decode_batch"]
 
@@ -93,7 +93,7 @@ def _decode_node(alpha, plan):
 
 def fast_ssc_decode_batch(channel_llrs, plan, minsum=True):
     """Fast-SSC decode a (B, N) LLR batch; returns (u_hat, x_hat)."""
-    x_hat = _frames_first(_decode_node(_llr_batch(channel_llrs, plan.size, minsum), plan))
+    x_hat = np.ascontiguousarray(_decode_node(_llr_batch(channel_llrs, plan.size, minsum), plan).T)
     return polar_transform(x_hat), x_hat
 
 

@@ -48,7 +48,7 @@ def _extend_serial(ps, alpha):
     ``alpha`` is never re-gathered; the decided bits follow every fork.
     """
     size = alpha.shape[0]
-    beta = np.empty((size, ps.B, ps.P), dtype=np.uint8)
+    beta = np.empty(alpha.shape, dtype=np.uint8)
     anc = None
     i = 0
     while i < size:

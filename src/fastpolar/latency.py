@@ -20,14 +20,12 @@ __all__ = ["CostReport", "cost_sc", "cost_scl", "latency_table"]
 
 @dataclass(frozen=True)
 class CostReport:
-    decoder: str  # "sc" | "scl"
     node_set: str
-    total_steps: int
     per_node: dict  # kind -> accumulated steps
 
-    def __post_init__(self):
-        if self.total_steps != sum(self.per_node.values()):
-            raise ValueError("total does not match the breakdown")
+    @property
+    def total_steps(self):
+        return sum(self.per_node.values())
 
 
 def _parity_prices(node):
@@ -52,7 +50,7 @@ def _report(plan, decoder, node_set):
     per_node = {}
     for node in plan.walk():
         per_node[node.kind] = per_node.get(node.kind, 0) + _PRICES[node.kind](node)[col]
-    return CostReport(decoder, node_set, sum(per_node.values()), per_node)
+    return CostReport(node_set, per_node)
 
 
 def cost_sc(plan, node_set="custom"):

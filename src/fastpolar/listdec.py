@@ -29,7 +29,6 @@ class PathSet:
     """
 
     def __init__(self, B, L):
-        self.B = B
         self.L = L
         self.P = 1
         self.pm = np.zeros((B, 1))
@@ -102,15 +101,11 @@ def select_output(u, pm, code, crc=None):
     """
     if crc is not None and not isinstance(crc, CrcSpec):
         raise ValueError(f"crc must be None or a CrcSpec, got {crc!r}")
-    B, P, _ = u.shape
+    B = u.shape[0]
     best = np.zeros(B, dtype=np.int64)
-    if crc is not None:
-        info = u[:, :, code.flags == 1]
-        ok = crc_check_batch(info, crc)
-        has = ok.any(axis=1)
-        best[has] = np.argmax(ok[has], axis=1)
-    sel = u[np.arange(B), best]
-    return sel, pm[np.arange(B), best]
+    if crc is not None:  # a row with no passing path has argmax 0, the lowest metric
+        best = np.argmax(crc_check_batch(u[:, :, code.flags == 1], crc), axis=1)
+    return u[np.arange(B), best], pm[np.arange(B), best]
 
 
 def scl_decode_batch(channel_llrs, code, L, crc=None, minsum=True):

@@ -42,6 +42,16 @@ def relaxed_code(code, plan):
     return PolarCode(code.n, int(flags.sum()), flags, code.design_sigma)
 
 
+def plan_leaves(plan):
+    """The nodes that tile a plan's block: every node but the splits, in
+    decode order (a G-Rep node stands for its Rate-C sub-plan)."""
+    if plan.kind != "split":
+        yield plan
+        return
+    yield from plan_leaves(plan.left)
+    yield from plan_leaves(plan.right)
+
+
 def kron_generator(n):
     """Explicit generator matrix: n-fold Kronecker power of [[1,0],[1,1]]."""
     g = np.array([[1, 0], [1, 1]], dtype=np.uint8)

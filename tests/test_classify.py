@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from fastpolar.classify import (PlanOptions, classify, leaves_only_plan, option_sweep,
                                 plan_stats)
 from fastpolar.construction import PolarCode, construct_code
+from helpers import plan_leaves
 
 GEN = PlanOptions(enable_grep=True, enable_gpc=True)
 LADDER = [(opts.enable_grep, opts.enable_gpc, opts.max_af) for _, opts in option_sweep()]
@@ -81,7 +82,7 @@ def _leaf_sound(leaf, flags):
 
 
 def all_special_leaves(plan):
-    for leaf in plan.leaves():
+    for leaf in plan_leaves(plan):
         if leaf.kind == "grep":
             yield leaf
             yield from all_special_leaves(leaf.rate_c)
@@ -106,7 +107,7 @@ def test_plan_tiles_whole_block():
     for _ in range(20):
         flags = rng.integers(0, 2, 64, dtype=np.uint8)
         plan = classify(make_code(flags), GEN)
-        cover = sorted((l.offset, l.offset + l.size) for l in plan.leaves())
+        cover = sorted((l.offset, l.offset + l.size) for l in plan_leaves(plan))
         assert cover[0][0] == 0 and cover[-1][1] == 64
         assert all(a[1] == b[0] for a, b in zip(cover, cover[1:]))
 
@@ -136,7 +137,7 @@ def test_leaf_count_monotone_in_af():
         prev = None
         for af in (0, 1, 2, 3):
             plan = classify(code, PlanOptions(True, True, af))
-            count = sum(1 for _ in plan.leaves())
+            count = sum(1 for _ in plan_leaves(plan))
             if prev is not None:
                 assert count <= prev
             prev = count
@@ -207,7 +208,7 @@ def test_walk_enters_grep_rate_c():
 def test_leaves_only_plan():
     code = construct_code(6, 20, 0.5)
     plan = leaves_only_plan(code)
-    leaves = list(plan.leaves())
+    leaves = list(plan_leaves(plan))
     assert [leaf.offset for leaf in leaves] == list(range(code.N))
     assert all(leaf.size == 1 for leaf in leaves)
     assert [leaf.kind == "rate1" for leaf in leaves] == list(code.flags == 1)

@@ -130,6 +130,10 @@ def _bad_inputs(tmp_path):
         (tmp_path / f"{name}.json").write_text(json.dumps(desc))
         return ["decode", "--code", str(tmp_path / f"{name}.json")], llrs
 
+    def classify_with(name, n):  # a descriptor whose n gives no code length
+        (tmp_path / f"{name}.json").write_text(json.dumps({"n": n, "frozen_indices": []}))
+        return ["classify", "--code", str(tmp_path / f"{name}.json")], ""
+
     def encode_with(value):  # at an information index
         u = ["0"] * 16
         u[code.info_indices[0]] = value
@@ -172,6 +176,9 @@ def _bad_inputs(tmp_path):
                       "a JSON object with 'n' and 'frozen_indices'"),
         "desc-list": (*decode_with("list", [1, 2]), "a JSON object with 'n'"),
         "desc-no-frozen": (*decode_with("nofrozen", {"n": 3}), "a JSON object with 'n'"),
+        # never an n whose 2**n flag bytes the machine could allocate
+        "desc-n-62": (*classify_with("n62", 62), "n = 62 is too large"),
+        "desc-n--1": (*classify_with("nneg", -1), "n must be >= 0, got -1"),
         "desc-frozen-int": (*decode_with("frozenint", {"n": 3, "frozen_indices": 5}),
                             "frozen_indices must be a list"),
         "desc-sigma-null": (*decode_with("sigma", {"n": 4, "frozen_indices": code.frozen_indices
@@ -203,6 +210,7 @@ def _bad_inputs(tmp_path):
                                   "fastssc-with-crc-and-list", "overflowing-llrs",
                                   "encode-2", "encode--1", "encode-256", "encode-0.5",
                                   "desc-no-n", "desc-list", "desc-no-frozen", "desc-frozen-int",
+                                  "desc-n-62", "desc-n--1",
                                   "desc-sigma-null", "sim-crc-bogus", "sim-crc-width-x",
                                   "sim-crc-width-0", "sim-crc-reflect-yes", "sim-crc-poly--3",
                                   "sim-crc-poly-31"])

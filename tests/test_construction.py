@@ -144,6 +144,20 @@ def test_descriptor_rejects_non_integers(tmp_path, field, value):
         load_descriptor(path)
 
 
+@pytest.mark.parametrize("n,K,flags,message", [
+    (2, 2, [0, 0, 0, 2], "only the bits 0 and 1"),  # K 2, yet no information position
+    (2, 2, [0, 0, 257, 1], "only the bits 0 and 1"),  # 257 would wrap to 1
+    (2, 1, [0, 0, 0, -1], "only the bits 0 and 1"),
+    (2.0, 2, [0, 0, 1, 1], "n must be an integer"),
+    (True, 1, [0, 1], "n must be an integer"),
+    (2, 2.0, [0, 0, 1, 1], "K must be an integer"),
+    (2, True, [0, 0, 0, 1], "K must be an integer"),
+])
+def test_polar_code_rejects_bad_fields(n, K, flags, message):
+    with pytest.raises(ValueError, match=message):
+        PolarCode(n, K, np.array(flags), 0.5)
+
+
 def test_invalid_parameters():
     with pytest.raises(ValueError):
         construct_code(3, 9, 0.5)

@@ -61,8 +61,7 @@ def test_report_total_matches_breakdown():
     for opts in (PlanOptions(), GEN, PlanOptions(True, True, 2)):
         for rep in (cost_sc(classify(code, opts)), cost_scl(classify(code, opts))):
             assert rep.total_steps == sum(rep.per_node.values())
-    with pytest.raises(ValueError):
-        CostReport("sc", "base", 5, {"rep": 2})
+    assert CostReport("base", {"rep": 2, "split": 4}).total_steps == 6
 
 
 def test_table_shape_and_labels():

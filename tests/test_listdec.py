@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from fastpolar.codec import polar_transform
 from fastpolar.construction import PolarCode, construct_code
 from fastpolar.crc import CRC8, crc_attach
-from fastpolar.listdec import PathSet, scl_decode, scl_decode_batch, scl_decode_paths_batch
+from fastpolar.listdec import (PathSet, scl_decode, scl_decode_batch, scl_decode_paths_batch,
+                               select_output)
 from helpers import path_metric_of, sc_descent_batch, scl_descent_paths_batch
 
 
@@ -107,6 +108,24 @@ def test_pm_recomputable_from_history():
         for p in range(u.shape[1]):
             ref = path_metric_of(llrs[b], u[b, p])
             assert pm[b, p] == pytest.approx(ref, rel=1e-9, abs=1e-9)
+
+
+def test_crc_selection_falls_back_to_lowest_metric():
+    # frames 0 and 3 have no passing path, frame 1 passes at rows 2 and 3,
+    # frame 2 at row 0 only; rows are sorted by metric
+    code = construct_code(5, 16, 0.5)
+    passing = np.array([[0, 0, 0, 0], [0, 0, 1, 1], [1, 0, 0, 0], [0, 0, 0, 0]], dtype=bool)
+    B, P = passing.shape
+    rng = np.random.default_rng(4)
+    info = crc_attach(rng.integers(0, 2, (B, P, 8), dtype=np.uint8), CRC8)
+    info[~passing, -1] ^= 1  # a wrong last CRC bit
+    u = np.zeros((B, P, code.N), dtype=np.uint8)
+    u[:, :, code.info_indices] = info
+    pm = np.sort(rng.random((B, P)), axis=1)
+    u_hat, pm_hat = select_output(u, pm, code, CRC8)
+    best = [0, 2, 0, 0]
+    assert np.array_equal(u_hat, u[np.arange(B), best])
+    assert np.array_equal(pm_hat, pm[np.arange(B), best])
 
 
 def test_crc_selection_prefers_passing_path():
