@@ -23,6 +23,7 @@ __all__ = ["PlanOptions", "DecodePlan", "classify", "leaves_only_plan", "plan_st
 
 _LADDER = {"base": (False, False, 0), "+grep": (True, False, 0), "+gpc": (True, True, 0),
            **{f"+rgpc{k}": (True, True, k) for k in (1, 2, 3)}}
+_LABELS = {"np_sub": "Np", "af_positions": "af"}  # payload field -> its label in pretty
 
 
 @dataclass(frozen=True)
@@ -78,28 +79,23 @@ class DecodePlan:
         for child in self.children.values():
             yield from child.walk()
 
+    @property
+    def payload(self):
+        """Kind-specific fields as ``pretty`` and ``to_dict`` state them (not SPC's Np = 1)."""
+        d = {"np_sub": self.np_sub} if self.kind in ("gpc", "rgpc") else {}
+        return {**d, "af_positions": list(self.af_positions)} if self.af_positions else d
+
     def pretty(self, indent=0):
-        pad = "  " * indent
-        extra = ""
-        if self.kind == "grep":
-            extra = f" rate_c@{self.rate_c.offset}/2^{self.rate_c.stage}"
-        elif self.kind in ("gpc", "rgpc"):
-            extra = f" Np={self.np_sub}"
-            if self.kind == "rgpc":
-                extra += f" af={list(self.af_positions)}"
-        lines = [f"{pad}{self.kind} size={self.size} offset={self.offset}{extra}"]
+        extra = f" rate_c@{self.rate_c.offset}/2^{self.rate_c.stage}" if self.rate_c else ""
+        extra += "".join(f" {_LABELS[name]}={v}" for name, v in self.payload.items())
+        lines = [f"{'  ' * indent}{self.kind} size={self.size} offset={self.offset}{extra}"]
         for child in self.children.values():
             lines += child.pretty(indent + 1)
         return lines
 
     def to_dict(self):
         d = {"kind": self.kind, "stage": self.stage, "offset": self.offset}
-        for name, child in self.children.items():
-            d[name] = child.to_dict()
-        if self.kind in ("gpc", "rgpc"):
-            d["np_sub"] = self.np_sub
-            if self.kind == "rgpc":
-                d["af_positions"] = list(self.af_positions)
+        d.update({name: child.to_dict() for name, child in self.children.items()}, **self.payload)
         return d
 
 

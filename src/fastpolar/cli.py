@@ -20,6 +20,7 @@ from .sim import DECODERS, LIST_DECODERS, batch_decoder, load_sim_config, run_bl
 
 # --nodes names a rung of the node-set ladder, as the latency columns do
 NODE_SETS = {label.lstrip("+"): opts for label, opts in option_sweep()}
+LIST_ALGOS = " and ".join(sorted(LIST_DECODERS))  # for decode's --list and --crc help
 
 
 def _read_vector(stream):
@@ -113,8 +114,8 @@ def build_parser():
     p = sub.add_parser("decode", parents=[nodes], help="decode an LLR vector from stdin")
     p.add_argument("--code", required=True)
     p.add_argument("--algo", choices=list(DECODERS), default="sc")
-    p.add_argument("--list", type=int, help="list size of scl and ssclspc (default 4)")
-    p.add_argument("--crc", choices=list(CRC_NAMES), default="none", help="scl and ssclspc only")
+    p.add_argument("--list", type=int, help=f"list size of {LIST_ALGOS} (default 4)")
+    p.add_argument("--crc", choices=list(CRC_NAMES), default="none", help=f"{LIST_ALGOS} only")
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("classify", parents=[nodes], help="print the pruned decode tree")
@@ -142,7 +143,7 @@ def main(argv=None):
         ap.error("--list must be >= 1")
     if args.command == "decode" and args.algo not in LIST_DECODERS and (
             args.list or args.crc != "none"):
-        ap.error("--list and --crc apply only with --algo scl or ssclspc")
+        ap.error(f"--list and --crc apply only with --algo {' or '.join(sorted(LIST_DECODERS))}")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # bad input data, codes or configs

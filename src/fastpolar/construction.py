@@ -45,9 +45,8 @@ def _inv_log_phi(target):
     if target >= _log_phi_small(_X_SPLIT):
         # closed form on the low-mean branch
         return max(((_A - target) / _B) ** (1.0 / _C), _M_MIN)
+    # brackets the root: see test_inv_log_phi_upper_bracket for the proof
     hi = max(4.0 * _X_SPLIT, -8.0 * target)
-    while _log_phi_large(hi) > target:
-        hi *= 2.0
     return brentq(lambda x: _log_phi_large(x) - target, _X_SPLIT, hi)
 
 
@@ -101,7 +100,7 @@ class PolarCode:
 
     @property
     def N(self):
-        return 1 << self.n
+        return _block_length(self.n)
 
     @property
     def frozen_indices(self):
@@ -112,12 +111,18 @@ class PolarCode:
         return np.flatnonzero(self.flags == 1)
 
 
+def _block_length(n):
+    if n < 0:  # before the shift, whose own error would not name n
+        raise ValueError(f"n must be >= 0, got {n}")
+    return 1 << n
+
+
 def construct_code(n, K, design_sigma=0.5):
     """Build a PolarCode freezing the 2^n - K least reliable bit-channels.
 
     Reliability is the GA mean LLR; ties freeze the lower index.
     """
-    N = 1 << n
+    N = _block_length(n)
     if not 0 <= K <= N:
         raise ValueError(f"K must be in [0, {N}], got {K}")
     if design_sigma <= 0:
@@ -162,9 +167,7 @@ def load_descriptor(path):
     if isinstance(sigma, bool) or not isinstance(sigma, (int, float)):
         raise ValueError(f"design_sigma must be a number, got {sigma!r}")
     n = _integer(desc["n"], "n")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    N = 1 << n
+    N = _block_length(n)
     frozen = sorted(_integer(i, "a frozen index") for i in desc["frozen_indices"])
     repeated = sorted({a for a, b in zip(frozen, frozen[1:]) if a == b})
     if repeated:

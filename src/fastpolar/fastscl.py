@@ -1,20 +1,19 @@
 """Fast SCL decoding over a pruned decode plan.
 
 Rate-0, Rep and Rate-1 nodes extend the path set at the node root; G-Rep
-folds its LLRs onto the Rate-C child; SPC, G-PC and RG-PC are walked as
-split shapes of Rate-0 and Rate-1 nodes (SPC is G-PC with Np = 1).  The
-surviving path set (bit histories and metrics) matches tree-descent SCL
-on the code or, for a plan with RG-PC nodes, on its relaxed code: the code
-with every AF bit unfrozen, since RG-PC decodes its AF bits as information.
+folds its LLRs onto the Rate-C child; SPC, G-PC and RG-PC recurse as
+(same-Np half, Rate-1 half) splits down to their all-frozen Np block (SPC
+is G-PC with Np = 1).  The surviving path set (bit histories and metrics)
+matches tree-descent SCL on the code or, for a plan with RG-PC nodes, on
+its relaxed code: the code with every AF bit unfrozen, since RG-PC decodes
+its AF bits as information.
 Plain SCL is this walker on the leaves-only plan.
 """
 
 import numbers
-from functools import lru_cache
 
 import numpy as np
 
-from .classify import DecodePlan
 from .codec import _llr_batch, _one_frame, combine, f_step, g_step, polar_transform
 from .listdec import PathSet, select_output
 
@@ -90,19 +89,15 @@ def _extend_grep(ps, alpha, plan):
     return np.concatenate([beta_rc] * (size >> p)), anc
 
 
-@lru_cache(maxsize=None)
-def _parity_shape(stage, np_sub):
-    """The split shape an SPC, G-PC or RG-PC node is walked as.
-
-    The node splits as (same-Np half, Rate-1 half) down to its all-frozen
-    Np block; walking that shape (Rate-0 at the bottom, bit-serial Rate-1
-    on every right half) keeps the descent path set and enforces the Np
-    parity constraints.  RG-PC treats its AF bits as information bits.
-    """
-    if 1 << stage == np_sub:
-        return DecodePlan("rate0", stage, 0)
-    return DecodePlan("split", stage, 0, left=_parity_shape(stage - 1, np_sub),
-                      right=DecodePlan("rate1", stage - 1, 0))
+def _extend_parity(ps, alpha, np_sub):
+    # an SPC, G-PC or RG-PC node: walking it as (same-Np half, Rate-1 half)
+    # splits down to its Rate-0 Np block keeps the descent path set and
+    # enforces the Np parity constraints; RG-PC's AF bits are information
+    if alpha.shape[0] == np_sub:
+        return _extend_rate0(ps, alpha)
+    bl, anc_l = _extend_parity(ps, f_step(alpha), np_sub)
+    br, anc_r = _extend_serial(ps, g_step(ps.realign(alpha, anc_l), bl))
+    return combine(ps.realign(bl, anc_r), br), ps.realign(anc_l, anc_r)
 
 
 def _extend_split(ps, alpha, plan):
@@ -119,8 +114,8 @@ _NODE_EXTENDERS = {
     "rate1": lambda ps, alpha, plan: _extend_serial(ps, alpha),
     "rep": lambda ps, alpha, plan: _extend_rep(ps, alpha),
     "grep": _extend_grep,
-    **dict.fromkeys(("spc", "gpc", "rgpc"), lambda ps, alpha, plan: _extend_split(
-        ps, alpha, _parity_shape(plan.stage, plan.np_sub))),
+    **dict.fromkeys(("spc", "gpc", "rgpc"),
+                    lambda ps, alpha, plan: _extend_parity(ps, alpha, plan.np_sub)),
     "split": _extend_split,
 }
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize
 
-from fastpolar.construction import (PolarCode, construct_code, ga_llr_means,
-                                    load_descriptor, save_descriptor)
+from fastpolar.construction import (_X_SPLIT, PolarCode, _log_phi_large, _log_phi_small,
+                                    construct_code, ga_llr_means, load_descriptor,
+                                    save_descriptor)
 
 
 def numeric_check_update(m):
@@ -152,6 +153,7 @@ def test_descriptor_rejects_non_integers(tmp_path, field, value):
     (True, 1, [0, 1], "n must be an integer"),
     (2, 2.0, [0, 0, 1, 1], "K must be an integer"),
     (2, True, [0, 0, 0, 1], "K must be an integer"),
+    (-1, 0, [], "n must be >= 0, got -1"),  # not Python's "negative shift count"
 ])
 def test_polar_code_rejects_bad_fields(n, K, flags, message):
     with pytest.raises(ValueError, match=message):
@@ -165,7 +167,24 @@ def test_invalid_parameters():
         construct_code(3, -1, 0.5)
     with pytest.raises(ValueError):
         construct_code(3, 4, 0.0)
+    with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+        construct_code(-1, 0, 0.5)
     with pytest.raises(ValueError):
         PolarCode(3, 4, np.zeros(8, dtype=np.uint8), 0.5)
     with pytest.raises(ValueError, match="flags must have length 8"):
         PolarCode(3, 4, np.ones(4, dtype=np.uint8), 0.5)
+
+
+def test_inv_log_phi_upper_bracket():
+    # Below _log_phi_small(X), X = _X_SPLIT, _inv_log_phi solves on the
+    # large-mean branch over [X, hi] with hi = max(4X, -8t), and needs no
+    # widening: _log_phi_large(hi) <= t for every target t there.  Proof:
+    # _log_phi_large decreases, so if t >= _log_phi_large(4X), hi >= 4X
+    # brackets.  Otherwise t < _log_phi_large(4X) < -X/2, so y = -8t > 4X > pi,
+    # where both log terms of _log_phi_large(y) are negative; what is left is
+    # -y/4 = 2t < t.
+    assert _log_phi_large(4 * _X_SPLIT) < -_X_SPLIT / 2 and 4 * _X_SPLIT > np.pi
+    top = _log_phi_small(_X_SPLIT)
+    t = np.concatenate([top - np.geomspace(1e-12, 1e9, 200_000),
+                        np.linspace(top - 40.0, top, 20_000, endpoint=False)])
+    assert (_log_phi_large(np.maximum(4 * _X_SPLIT, -8 * t)) <= t).all()

@@ -262,6 +262,33 @@ def test_walker_steps_read_c_ordered_blocks(plan_of, monkeypatch):
     assert {n for m, n in called if m == fastsc.__name__} == expected
 
 
+@pytest.mark.parametrize("label", [label for label, _ in option_sweep()] + ["leaves-only"])
+def test_walkers_dispatch_once_per_plan_node(label, monkeypatch):
+    # each walker enters its node-table dispatch exactly at the plan's nodes,
+    # in plan.walk() order: a parity node recurses inside its extension, and
+    # no walker builds plan nodes of its own
+    code = construct_code(8, 128, 0.5)
+    plan = leaves_only_plan(code) if label == "leaves-only" else classify(
+        code, dict(option_sweep())[label])
+    llrs = np.random.default_rng(3).normal(size=(2, code.N)) * 2.5
+
+    def entered(module, name, decode):
+        nodes, dispatch = [], getattr(module, name)
+
+        def recorded(*args):
+            nodes.append(args[-1])  # either walker takes the plan node last
+            return dispatch(*args)
+        monkeypatch.setattr(module, name, recorded)
+        decode(llrs, plan)
+        return nodes
+
+    for nodes in (entered(fastsc, "_decode_node", fast_ssc_decode_batch),
+                  entered(fastscl, "_extend_node",
+                          lambda llrs, plan: fast_scl_decode_paths_batch(llrs, plan, 8))):
+        assert len(nodes) == len(list(plan.walk()))
+        assert all(a is b for a, b in zip(nodes, plan.walk()))
+
+
 @given(st.integers(1, 6), st.integers(0, 10 ** 6), st.sampled_from([2, 4, 8]),
        st.sampled_from([1, 4]))
 @settings(max_examples=80, deadline=None)
