@@ -1,8 +1,8 @@
 """CRC attachment and checking over bit vectors.
 
-The bitwise register implementation is the reference; a cached GF(2)
-matrix form of the same map attaches and checks CRCs over frame batches
-(a CRC with a fixed init value is affine in the message bits).
+A cached GF(2) matrix form of the register map attaches and checks CRCs
+over frame batches (a CRC with a fixed init value is affine in the message
+bits); the bitwise register reference is ``crc_bits`` in the tests.
 """
 
 import numbers
@@ -11,7 +11,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["CrcSpec", "CRC8", "CRC16", "CRC_NAMES", "crc_by_name", "crc_bits", "crc_attach",
+__all__ = ["CrcSpec", "CRC8", "CRC16", "CRC_NAMES", "crc_by_name", "crc_attach",
            "crc_check_batch"]
 
 
@@ -57,25 +57,6 @@ def crc_by_name(name):
         raise ValueError(f"unknown CRC {name!r}; choose one of {list(CRC_NAMES)}") from None
 
 
-def crc_bits(payload, spec):
-    """CRC register bits (MSB first) for a bit-vector payload."""
-    bits = np.asarray(payload, dtype=np.uint8).tolist()
-    if spec.reflect:
-        bits = bits[::-1]
-    reg = spec.init
-    mask = (1 << spec.width) - 1
-    for b in bits:
-        fb = ((reg >> (spec.width - 1)) & 1) ^ int(b)
-        reg = ((reg << 1) & mask)
-        if fb:
-            reg ^= spec.polynomial
-    reg ^= spec.final_xor
-    out = [(reg >> (spec.width - 1 - i)) & 1 for i in range(spec.width)]
-    if spec.reflect:
-        out = out[::-1]
-    return np.array(out, dtype=np.uint8)
-
-
 def crc_attach(payload, spec):
     """Append the CRC to every bit vector along the last axis of ``payload``."""
     payload = np.asarray(payload, dtype=np.uint8)
@@ -86,16 +67,21 @@ def crc_attach(payload, spec):
 def _affine_map(spec, length):
     # crc(m) = c0 ^ (m @ M mod 2), valid because the register update is
     # linear in the message for fixed init/final_xor.  A lone 1 fed k bits
-    # before the end leaves the register at `polynomial` clocked k times.
-    zero = crc_bits(np.zeros(length, dtype=np.uint8), spec)
+    # before the end leaves the register at `polynomial` clocked k times;
+    # the zero message leaves it at `init` clocked `length` times.
     top, mask = 1 << (spec.width - 1), (1 << spec.width) - 1
-    rows, reg = [], spec.polynomial
+    regs, reg, zero = [], spec.polynomial, spec.init
     for _ in range(length):
-        rows.append([(reg >> (spec.width - 1 - i)) & 1 for i in range(spec.width)])
+        regs.append(reg)
         reg = ((reg << 1) & mask) ^ (spec.polynomial if reg & top else 0)
-    M = np.array(rows, dtype=np.uint8).reshape(length, spec.width)
-    # rows[k] is the bit fed k before the end; reflect feeds the payload backwards
-    return (M[:, ::-1] if spec.reflect else M[::-1]).copy(), zero
+        zero = ((zero << 1) & mask) ^ (spec.polynomial if zero & top else 0)
+    regs.append(zero ^ spec.final_xor)
+    bits = np.array([[(r >> (spec.width - 1 - i)) & 1 for i in range(spec.width)] for r in regs],
+                    dtype=np.uint8)
+    M, c0 = bits[:-1], bits[-1]
+    # row k of M is the bit fed k before the end; reflect feeds the payload
+    # backwards and reverses the register's bits
+    return (M[:, ::-1].copy(), c0[::-1]) if spec.reflect else (M[::-1].copy(), c0)
 
 
 def _crc_batch(payload, spec):

@@ -13,6 +13,7 @@ batch-size invariant.
 
 import json
 import numbers
+import os
 import time
 from dataclasses import dataclass, field, fields
 
@@ -268,8 +269,6 @@ def run_bler(cfg):
 def load_sim_config(path):
     """Read a simulation config JSON; the code descriptor path is resolved
     relative to the config file."""
-    import os
-
     with open(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, dict) or not isinstance(raw.get("code"), str):

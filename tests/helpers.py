@@ -3,8 +3,7 @@
 import numpy as np
 
 from fastpolar.codec import encode, polar_transform
-from fastpolar.construction import PolarCode
-from fastpolar.crc import crc_bits
+from fastpolar.construction import PolarCode, _check_update
 from fastpolar.sim import _frame_rng
 
 # The descent oracles' own f/g/combine kernels, written as the textbook
@@ -26,6 +25,39 @@ def g_step(alpha, beta_left):
 
 def combine(beta_left, beta_right):
     return np.concatenate([beta_left ^ beta_right, beta_right], axis=-1)
+
+
+def crc_bits(payload, spec):
+    """Reference CRC: the register bits (MSB first) for a bit-vector payload,
+    clocked one bit at a time."""
+    bits = np.asarray(payload, dtype=np.uint8).tolist()
+    if spec.reflect:
+        bits = bits[::-1]
+    reg = spec.init
+    mask = (1 << spec.width) - 1
+    for b in bits:
+        fb = ((reg >> (spec.width - 1)) & 1) ^ int(b)
+        reg = ((reg << 1) & mask)
+        if fb:
+            reg ^= spec.polynomial
+    reg ^= spec.final_xor
+    out = [(reg >> (spec.width - 1 - i)) & 1 for i in range(spec.width)]
+    if spec.reflect:
+        out = out[::-1]
+    return np.array(out, dtype=np.uint8)
+
+
+def ga_llr_means_reference(n, design_sigma):
+    """Reference GA means: the check update solved one bit-channel at a time
+    with the scalar ``_check_update``, level by level."""
+    means = np.array([2.0 / design_sigma**2])
+    for _ in range(n):
+        out = np.empty(2 * means.size)
+        out[: means.size] = [_check_update(m) for m in means]
+        out[means.size:] = 2.0 * means
+        # expand within each index prefix: the new level is the next lower bit
+        means = out.reshape(2, -1).T.reshape(-1)
+    return means
 
 
 def relaxed_code(code, plan):

@@ -181,6 +181,10 @@ def _bad_inputs(tmp_path):
         "desc-n--1": (*classify_with("nneg", -1), "n must be >= 0, got -1"),
         "construct-n--1": (["construct", "-n", "-1", "-K", "0", "--out", str(tmp_path / "x.json")],
                            "", "n must be >= 0, got -1"),
+        # built the flags [0 1 0 1 ...] before construct_code checked sigma
+        "construct-sigma-inf": (["construct", "-n", "3", "-K", "4", "--sigma", "inf", "--out",
+                                 str(tmp_path / "x.json")], "",
+                                "design_sigma must be a positive number"),
         "desc-frozen-int": (*decode_with("frozenint", {"n": 3, "frozen_indices": 5}),
                             "frozen_indices must be a list"),
         "desc-sigma-null": (*decode_with("sigma", {"n": 4, "frozen_indices": code.frozen_indices
@@ -212,7 +216,7 @@ def _bad_inputs(tmp_path):
                                   "fastssc-with-crc-and-list", "overflowing-llrs",
                                   "encode-2", "encode--1", "encode-256", "encode-0.5",
                                   "desc-no-n", "desc-list", "desc-no-frozen", "desc-frozen-int",
-                                  "desc-n-62", "desc-n--1", "construct-n--1",
+                                  "desc-n-62", "desc-n--1", "construct-n--1", "construct-sigma-inf",
                                   "desc-sigma-null", "sim-crc-bogus", "sim-crc-width-x",
                                   "sim-crc-width-0", "sim-crc-reflect-yes", "sim-crc-poly--3",
                                   "sim-crc-poly-31"])

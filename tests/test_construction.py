@@ -1,12 +1,19 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 from scipy import integrate, optimize
 
+from fastpolar import construction
 from fastpolar.construction import (_X_SPLIT, PolarCode, _log_phi_large, _log_phi_small,
                                     construct_code, ga_llr_means, load_descriptor,
                                     save_descriptor)
+from helpers import ga_llr_means_reference
+
+# 8 design sigmas from 0.2 to 4.0, with 0.05 and 20, where the means sit far
+# up the large-mean branch or pile up at the _M_MIN floor
+SWEEP_SIGMAS = (0.05, 0.2, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 4.0, 20.0)
 
 
 def numeric_check_update(m):
@@ -83,6 +90,9 @@ def test_construction_deterministic():
     a = construct_code(7, 64, 0.5)
     b = construct_code(7, 64, 0.5)
     assert np.array_equal(a.flags, b.flags)
+    # numpy scalars are numbers too
+    c = construct_code(np.int64(7), np.int64(64), np.float64(0.5))
+    assert np.array_equal(a.flags, c.flags)
 
 
 def test_tie_break_freezes_lower_index():
@@ -175,8 +185,74 @@ def test_invalid_parameters():
         PolarCode(3, 4, np.ones(4, dtype=np.uint8), 0.5)
 
 
+@pytest.mark.parametrize("sigma", SWEEP_SIGMAS)
+def test_flags_equal_reference_ranking(sigma):
+    # n 1-12 with five K each (480 codes over the eight sigmas from 0.2 to
+    # 4.0): the reference ranking sorts the scalar means descending, the
+    # higher index first on ties, and keeps the first K
+    for n in range(1, 13):
+        N = 1 << n
+        ref = ga_llr_means_reference(n, sigma)
+        order = sorted(range(N), key=lambda i: (-ref[i], -i))
+        for K in (1, N // 4, N // 2, 3 * N // 4, N - 1):
+            flags = np.zeros(N, dtype=np.uint8)
+            flags[order[:K]] = 1
+            assert np.array_equal(construct_code(n, K, sigma).flags, flags), (n, K)
+
+
+@pytest.mark.parametrize("sigma", SWEEP_SIGMAS)
+def test_means_match_reference(sigma):
+    # measured worst: 3.3e-13, at sigma 0.3 and n 12
+    for n in range(13):
+        ref = ga_llr_means_reference(n, sigma)
+        assert np.allclose(ga_llr_means(n, sigma), ref, rtol=1e-12, atol=0), n
+
+
+@pytest.mark.parametrize("n,K,sigma,digest", [
+    (10, 512, 0.5, "1eb40be92bf47d9b40cf5fd0833494488397f0510ff3724fbffc15b9a89f1c9c"),
+    (8, 128, 0.5, "9d09b8cea9868d0fc217fbeca06032bff4e3d2d60f4ba526b48e25be3d964b7d"),
+])
+def test_benchmark_codes_pinned(n, K, sigma, digest):
+    # SHA-256 of the uint8 flags as the scalar construction built them
+    assert hashlib.sha256(construct_code(n, K, sigma).flags.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("sigma", [0.05, 20.0])
+def test_large_branch_stays_above_split(monkeypatch, sigma):
+    # below _X_SPLIT the large-mean branch is not the model, and below 10/7
+    # its log1p is undefined
+    seen = []
+
+    def spy(x):
+        seen.append(np.min(x, initial=np.inf))
+        return _log_phi_large(x)
+
+    monkeypatch.setattr(construction, "_log_phi_large", spy)
+    construct_code(12, 2048, sigma)
+    assert seen and min(seen) >= _X_SPLIT
+
+
+@pytest.mark.parametrize("K,sigma,message", [
+    (4, float("nan"), "design_sigma must be a positive number .* got nan at n = 3"),
+    (4, float("inf"), "design_sigma must be a positive number .* got inf at n = 3"),
+    (4, 1e-200, "design_sigma must be a positive number .* got 1e-200 at n = 3"),
+    (4, 1e200, r"design_sigma must be a positive number .* got 1e\+200 at n = 3"),
+    # 2/sigma^2 is finite here, and 2^3 times it is not
+    (4, 1.3e-154, "design_sigma must be a positive number .* got 1.3e-154 at n = 3"),
+    (4, True, "design_sigma must be a positive number .* got True at n = 3"),
+    (8.0, 0.5, "K must be an integer, got 8.0"),
+    (True, 0.5, "K must be an integer, got True"),
+])
+def test_construct_code_rejects_hostile_inputs(K, sigma, message):
+    # before these checks: nan raised brentq's error, inf built flags
+    # [0 1 0 1 ...], 1e-200 and 1e200 raised ZeroDivisionError and
+    # OverflowError, and K=8.0 a TypeError from a slice
+    with pytest.raises(ValueError, match=message):
+        construct_code(3, K, sigma)
+
+
 def test_inv_log_phi_upper_bracket():
-    # Below _log_phi_small(X), X = _X_SPLIT, _inv_log_phi solves on the
+    # Below _log_phi_small(X), X = _X_SPLIT, _check_update solves on the
     # large-mean branch over [X, hi] with hi = max(4X, -8t), and needs no
     # widening: _log_phi_large(hi) <= t for every target t there.  Proof:
     # _log_phi_large decreases, so if t >= _log_phi_large(4X), hi >= 4X

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fastpolar.crc import CRC8, CRC16, CrcSpec, crc_attach, crc_bits, crc_check_batch
+from fastpolar.crc import CRC8, CRC16, CrcSpec, crc_attach, crc_check_batch
+from helpers import crc_bits
 
 
 def bytes_to_bits(data):
