@@ -117,6 +117,7 @@ class PolarCode:
 
     def __post_init__(self):
         check_field_types(self)
+        _channel_mean(self.n, self.design_sigma)  # construct_code's rule for any sigma
         if not np.isin(self.flags, (0, 1)).all():  # a cast to uint8 would wrap 257 to 1
             raise ValueError("flags must hold only the bits 0 and 1")
         flags = np.ascontiguousarray(self.flags, dtype=np.uint8)
@@ -196,9 +197,6 @@ def load_descriptor(path):
         raise ValueError("a code descriptor is a JSON object with 'n' and 'frozen_indices'")
     if not isinstance(desc["frozen_indices"], list):
         raise ValueError(f"frozen_indices must be a list, got {desc['frozen_indices']!r}")
-    sigma = desc.get("design_sigma", 0.5)
-    if isinstance(sigma, bool) or not isinstance(sigma, (int, float)):
-        raise ValueError(f"design_sigma must be a number, got {sigma!r}")
     n = _integer(desc["n"], "n")
     N = _block_length(n)
     frozen = sorted(_integer(i, "a frozen index") for i in desc["frozen_indices"])
@@ -215,4 +213,4 @@ def load_descriptor(path):
     K = N - len(frozen)
     if "K" in desc and _integer(desc["K"], "K") != K:
         raise ValueError("descriptor K inconsistent with frozen_indices")
-    return PolarCode(n=n, K=K, flags=flags, design_sigma=float(sigma))
+    return PolarCode(n=n, K=K, flags=flags, design_sigma=desc.get("design_sigma", 0.5))

@@ -60,6 +60,12 @@ def ga_llr_means_reference(n, design_sigma):
     return means
 
 
+def make_code(flags):
+    """The PolarCode with these 0/1 flags (design sigma 0.5)."""
+    flags = np.asarray(flags, dtype=np.uint8)
+    return PolarCode(int(np.log2(flags.size)), int(flags.sum()), flags, 0.5)
+
+
 def relaxed_code(code, plan):
     """The code that leaves every RG-PC node's AF bits unfrozen.
 

@@ -17,7 +17,7 @@ from fastpolar.fastsc import fast_ssc_decode_batch, wagner_decode
 from fastpolar.fastscl import fast_scl_decode_paths_batch
 from fastpolar.latency import cost_sc, cost_scl, latency_table
 from fastpolar.sim import SimConfig, awgn_bpsk_llrs, run_bler
-from helpers import sc_descent_batch, scl_descent_paths_batch
+from helpers import kron_generator, sc_descent_batch, scl_descent_paths_batch
 
 pytestmark = pytest.mark.acceptance
 
@@ -54,14 +54,6 @@ REFERENCE_STEPS = {
 def report(name, ok, detail):
     print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     assert ok, f"{name}: {detail}"
-
-
-def kron_generator(n):
-    g = np.array([[1, 0], [1, 1]], dtype=np.uint8)
-    out = np.array([[1]], dtype=np.uint8)
-    for _ in range(n):
-        out = np.kron(out, g)
-    return out
 
 
 def random_frames(code, count, sigma, rng):

@@ -5,17 +5,11 @@ from hypothesis import strategies as st
 
 from fastpolar.classify import (PlanOptions, classify, leaves_only_plan, option_sweep,
                                 plan_stats)
-from fastpolar.construction import PolarCode, construct_code
-from helpers import plan_leaves
+from fastpolar.construction import construct_code
+from helpers import make_code, plan_leaves
 
 GEN = PlanOptions(enable_grep=True, enable_gpc=True)
 LADDER = [(opts.enable_grep, opts.enable_gpc, opts.max_af) for _, opts in option_sweep()]
-
-
-def make_code(flags):
-    flags = np.asarray(flags, dtype=np.uint8)
-    n = int(np.log2(flags.size))
-    return PolarCode(n, int(flags.sum()), flags, 0.5)
 
 
 def test_classical_rep_is_grep_p0():

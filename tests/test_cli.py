@@ -130,8 +130,8 @@ def _bad_inputs(tmp_path):
         (tmp_path / f"{name}.json").write_text(json.dumps(desc))
         return ["decode", "--code", str(tmp_path / f"{name}.json")], llrs
 
-    def classify_with(name, n):  # a descriptor whose n gives no code length
-        (tmp_path / f"{name}.json").write_text(json.dumps({"n": n, "frozen_indices": []}))
+    def classify_with(name, n, **desc):  # a descriptor whose n or sigma gives no code
+        (tmp_path / f"{name}.json").write_text(json.dumps({"n": n, "frozen_indices": [], **desc}))
         return ["classify", "--code", str(tmp_path / f"{name}.json")], ""
 
     def encode_with(value):  # at an information index
@@ -189,7 +189,12 @@ def _bad_inputs(tmp_path):
                             "frozen_indices must be a list"),
         "desc-sigma-null": (*decode_with("sigma", {"n": 4, "frozen_indices": code.frozen_indices
                                                    .tolist(), "design_sigma": None}),
-                            "design_sigma must be a number"),
+                            "design_sigma must be a positive number"),
+        # json writes NaN and Infinity as tokens it reads back; classify itself
+        # never reads the sigma, so only the descriptor's rule can refuse these
+        **{f"desc-sigma-{v}": (*classify_with(f"sigma{i}", 4, design_sigma=v),
+                               "design_sigma must be a positive number")
+           for i, v in enumerate((float("nan"), -1, 0, float("inf"), True))},
         "sim-crc-bogus": (simulate("crcbogus", crc={"bogus": 1}), "",
                           "a CRC spec object has the fields ['width', 'polynomial', 'init', "
                           "'reflect', 'final_xor']"),
@@ -217,7 +222,9 @@ def _bad_inputs(tmp_path):
                                   "encode-2", "encode--1", "encode-256", "encode-0.5",
                                   "desc-no-n", "desc-list", "desc-no-frozen", "desc-frozen-int",
                                   "desc-n-62", "desc-n--1", "construct-n--1", "construct-sigma-inf",
-                                  "desc-sigma-null", "sim-crc-bogus", "sim-crc-width-x",
+                                  "desc-sigma-null", "desc-sigma-nan", "desc-sigma--1",
+                                  "desc-sigma-0", "desc-sigma-inf", "desc-sigma-True",
+                                  "sim-crc-bogus", "sim-crc-width-x",
                                   "sim-crc-width-0", "sim-crc-reflect-yes", "sim-crc-poly--3",
                                   "sim-crc-poly-31"])
 def test_bad_inputs_are_usage_errors(tmp_path, monkeypatch, capsys, case):

@@ -25,3 +25,20 @@ def test_package_imports_only_listed_names():
                            if isinstance(node, ast.ImportFrom))
     unlisted = [(name, attr) for name, attr in imports if attr not in MODULES[name].__all__]
     assert unlisted == []
+
+
+def test_only_codec_imports_inside_a_function():
+    # module-level imports only, so an import cycle fails at import time.
+    # codec reaches the SC walker lazily until sc_decode* moves next to it,
+    # which waits for the benchmark to stop resolving fp.codec.sc_decode_batch
+    # (ROADMAP item 1)
+    lazy = []
+    for path in sorted(Path(fastpolar.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        nested = {node for fn in ast.walk(tree)
+                  if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))}
+        lazy += [(path.stem, getattr(node, "module", None), alias.name)
+                 for node in sorted(nested, key=lambda node: node.lineno)
+                 for alias in node.names]
+    assert lazy == [("codec", "fastsc", "_decode_node")]

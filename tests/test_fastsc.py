@@ -5,17 +5,12 @@ from hypothesis import strategies as st
 
 from fastpolar.classify import PlanOptions, classify, option_sweep
 from fastpolar.codec import encode, g_step, polar_transform, sc_decode, sc_decode_batch
-from fastpolar.construction import PolarCode, construct_code
+from fastpolar.construction import construct_code
 from fastpolar.fastsc import (decode_gpc_sc, decode_grep_sc, fast_ssc_decode, fast_ssc_decode_batch,
                               grep_fold, wagner_decode)
-from helpers import ml_even_parity, relaxed_code, sc_descent_batch, wagner_per_row
+from helpers import make_code, ml_even_parity, relaxed_code, sc_descent_batch, wagner_per_row
 
 GEN = PlanOptions(enable_grep=True, enable_gpc=True)
-
-
-def make_code(flags):
-    flags = np.asarray(flags, dtype=np.uint8)
-    return PolarCode(int(np.log2(flags.size)), int(flags.sum()), flags, 0.5)
 
 
 def test_grep_fold_examples():

@@ -3,22 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fastpolar import fastsc, fastscl
+from fastpolar import fastsc, listdec
 from fastpolar.classify import PlanOptions, classify, leaves_only_plan, option_sweep
 from fastpolar.codec import encode, polar_transform
-from fastpolar.construction import PolarCode, construct_code
+from fastpolar.construction import construct_code
 from fastpolar.crc import CRC8, crc_attach
 from fastpolar.fastsc import fast_ssc_decode_batch
 from fastpolar.fastscl import fast_scl_decode, fast_scl_decode_batch, fast_scl_decode_paths_batch
 from fastpolar.listdec import PathSet, scl_decode, scl_decode_paths_batch, select_output
-from helpers import canon_paths, path_metric_of, relaxed_code, scl_descent_paths_batch
+from helpers import canon_paths, make_code, path_metric_of, relaxed_code, scl_descent_paths_batch
 
 GEN = PlanOptions(enable_grep=True, enable_gpc=True)
-
-
-def make_code(flags):
-    flags = np.asarray(flags, dtype=np.uint8)
-    return PolarCode(int(np.log2(flags.size)), int(flags.sum()), flags, 0.5)
 
 
 def assert_path_sets_equal(code, plan, L, frames, seed):
@@ -251,12 +246,12 @@ def test_walker_steps_read_c_ordered_blocks(plan_of, monkeypatch):
         monkeypatch.setattr(module, name, wrapped)
 
     for name in ("f_step", "g_step", "combine"):
-        checked(fastscl, name)
+        checked(listdec, name)
     for name in preconditions:
         checked(fastsc, name)
     u, _ = fast_scl_decode_paths_batch(llrs, plan, 8)
     assert u.shape == (4, 8, code.N)
-    assert {n for m, n in called if m == fastscl.__name__} == {"f_step", "g_step", "combine"}
+    assert {n for m, n in called if m == listdec.__name__} == {"f_step", "g_step", "combine"}
     fast_ssc_decode_batch(llrs, plan)
     expected = set().union(*(_SC_KERNELS.get(node.kind, set()) for node in plan.walk()))
     assert {n for m, n in called if m == fastsc.__name__} == expected
@@ -283,7 +278,7 @@ def test_walkers_dispatch_once_per_plan_node(label, monkeypatch):
         return nodes
 
     for nodes in (entered(fastsc, "_decode_node", fast_ssc_decode_batch),
-                  entered(fastscl, "_extend_node",
+                  entered(listdec, "_extend_node",
                           lambda llrs, plan: fast_scl_decode_paths_batch(llrs, plan, 8))):
         assert len(nodes) == len(list(plan.walk()))
         assert all(a is b for a, b in zip(nodes, plan.walk()))

@@ -1,17 +1,13 @@
 import numpy as np
 import pytest
 
-from fastpolar import fastsc, fastscl, latency
+from fastpolar import fastsc, latency, listdec
 from fastpolar.classify import PlanOptions, classify
-from fastpolar.construction import PolarCode, construct_code
+from fastpolar.construction import construct_code
 from fastpolar.latency import CostReport, cost_sc, cost_scl, latency_table
+from helpers import make_code
 
 GEN = PlanOptions(enable_grep=True, enable_gpc=True)
-
-
-def make_code(flags):
-    flags = np.asarray(flags, dtype=np.uint8)
-    return PolarCode(int(np.log2(flags.size)), int(flags.sum()), flags, 0.5)
 
 
 def test_single_leaf_prices():
@@ -87,7 +83,7 @@ def test_node_kind_tables_agree():
     # every node kind has an SC decoder, an SCL extension and a price
     kinds = set(latency._PRICES)
     assert set(fastsc._NODE_DECODERS) == kinds
-    assert set(fastscl._NODE_EXTENDERS) == kinds
+    assert set(listdec._NODE_EXTENDERS) == kinds
     code = construct_code(8, 100, 0.5)
     for opts in (PlanOptions(), GEN, PlanOptions(True, True, 2)):
         assert {node.kind for node in classify(code, opts).walk()} <= kinds

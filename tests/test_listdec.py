@@ -4,16 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fastpolar.codec import polar_transform
-from fastpolar.construction import PolarCode, construct_code
+from fastpolar.construction import construct_code
 from fastpolar.crc import CRC8, crc_attach
 from fastpolar.listdec import (PathSet, scl_decode, scl_decode_batch, scl_decode_paths_batch,
                                select_output)
-from helpers import path_metric_of, sc_descent_batch, scl_descent_paths_batch
-
-
-def make_code(flags):
-    flags = np.asarray(flags, dtype=np.uint8)
-    return PolarCode(int(np.log2(flags.size)), int(flags.sum()), flags, 0.5)
+from helpers import make_code, path_metric_of, sc_descent_batch, scl_descent_paths_batch
 
 
 def test_list_one_equals_sc():
