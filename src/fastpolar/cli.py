@@ -64,12 +64,12 @@ def cmd_classify(args):
 def cmd_latency(args):
     code = load_descriptor(args.code)
     table = latency_table(code)
-    labels = [r.node_set for r in table["sc"]]
+    labels = [label for label, _ in option_sweep()]  # latency_table's column order
     if args.csv:
         print("decoder,node_set,steps")
         for dec in ("sc", "scl"):
-            for rep in table[dec]:
-                print(f"{dec},{rep.node_set},{rep.total_steps}")
+            for label, rep in zip(labels, table[dec]):
+                print(f"{dec},{label},{rep.total_steps}")
     else:
         width = max(len(s) for s in labels) + 2
         print(" " * 6 + "".join(s.rjust(width) for s in labels))
@@ -85,7 +85,7 @@ def cmd_simulate(args):
         fh.write(result.to_csv())
     if args.emit_plotdata:
         with open(args.emit_plotdata, "w") as fh:
-            fh.write(f"# {result.config_label}\n")
+            fh.write(f"# {cfg.decoder}\n")
             for p in result.points:
                 fh.write(f"{p.snr_db:g} {p.bler:.8e}\n")
     print(f"wrote {args.out}")

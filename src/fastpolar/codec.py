@@ -13,6 +13,7 @@ the entry points check their input once, in ``_llr_batch``.
 import numpy as np
 
 from .classify import leaves_only_plan
+from .crc import check_bits
 
 __all__ = ["encode", "polar_transform", "sc_decode", "sc_decode_batch"]
 
@@ -52,11 +53,9 @@ def polar_transform(u):
 
 def encode(u, code):
     """Encode message vector u (bits, zeros at frozen indices) into a codeword."""
-    u = np.asarray(u)
-    if u.shape[-1] != code.N:
+    if np.shape(u)[-1] != code.N:
         raise ValueError(f"u must have length {code.N}")
-    if not ((u == 0) | (u == 1)).all():  # a cast to uint8 would wrap or truncate
-        raise ValueError("u must hold only the bits 0 and 1")
+    u = check_bits(u, "u")
     if np.any(u[..., code.flags == 0] != 0):
         raise ValueError("nonzero value at a frozen index")
     return polar_transform(u)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .crc import check_field_types
+from .crc import check_bits, check_field_types, check_integer
 
 __all__ = ["PolarCode", "construct_code", "save_descriptor", "load_descriptor"]
 
@@ -69,18 +69,18 @@ def _solve_large(target):
     return x
 
 
-def _channel_mean(n, design_sigma):
+def _channel_mean(n, sigma, name="design_sigma"):
     """2/sigma^2, the channel's mean LLR, refused unless it and 2^n times it
-    (the best bit-channel's mean) are finite and positive."""
-    real = isinstance(design_sigma, numbers.Real) and not isinstance(design_sigma, bool)
+    (the best bit-channel's mean) are finite and positive; ``name`` is reported."""
+    real = isinstance(sigma, numbers.Real) and not isinstance(sigma, bool)
     try:
-        m0 = 2.0 / float(design_sigma) ** 2 if real and design_sigma > 0 else 0.0
+        m0 = 2.0 / float(sigma) ** 2 if real and sigma > 0 else 0.0
         ok = m0 > 0 and math.ldexp(m0, int(n)) < math.inf
     except (OverflowError, ZeroDivisionError):
         ok = False
     if not ok:
-        raise ValueError(f"design_sigma must be a positive number with 2/sigma^2, and 2^n "
-                         f"times it, finite and nonzero; got {design_sigma!r} at n = {n}")
+        raise ValueError(f"{name} must be a positive number with 2/sigma^2, and 2^n "
+                         f"times it, finite and nonzero; got {sigma!r} at n = {n}")
     return m0
 
 
@@ -118,9 +118,7 @@ class PolarCode:
     def __post_init__(self):
         check_field_types(self)
         _channel_mean(self.n, self.design_sigma)  # construct_code's rule for any sigma
-        if not np.isin(self.flags, (0, 1)).all():  # a cast to uint8 would wrap 257 to 1
-            raise ValueError("flags must hold only the bits 0 and 1")
-        flags = np.ascontiguousarray(self.flags, dtype=np.uint8)
+        flags = check_bits(self.flags, "flags")
         object.__setattr__(self, "flags", flags)
         if flags.shape != (self.N,):
             raise ValueError(f"flags must have length {self.N}")
@@ -151,8 +149,8 @@ def construct_code(n, K, design_sigma=0.5):
 
     Reliability is the GA mean LLR; ties freeze the lower index.
     """
-    N = _block_length(_integer(n, "n"))
-    if not 0 <= _integer(K, "K") <= N:
+    N = _block_length(check_integer(n, "n"))
+    if not 0 <= check_integer(K, "K") <= N:
         raise ValueError(f"K must be in [0, {N}], got {K}")
     means = ga_llr_means(n, design_sigma)
     if 0 < K < N:
@@ -183,13 +181,6 @@ def save_descriptor(code, path):
         fh.write("\n")
 
 
-def _integer(value, name):
-    # 4.7 must not read as 4, nor true as 1
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
 def load_descriptor(path):
     with open(path) as fh:
         desc = json.load(fh)
@@ -197,9 +188,9 @@ def load_descriptor(path):
         raise ValueError("a code descriptor is a JSON object with 'n' and 'frozen_indices'")
     if not isinstance(desc["frozen_indices"], list):
         raise ValueError(f"frozen_indices must be a list, got {desc['frozen_indices']!r}")
-    n = _integer(desc["n"], "n")
+    n = check_integer(desc["n"], "n")
     N = _block_length(n)
-    frozen = sorted(_integer(i, "a frozen index") for i in desc["frozen_indices"])
+    frozen = sorted(check_integer(i, "a frozen index") for i in desc["frozen_indices"])
     repeated = sorted({a for a, b in zip(frozen, frozen[1:]) if a == b})
     if repeated:
         raise ValueError(f"frozen_indices repeats {repeated}")
@@ -211,6 +202,6 @@ def load_descriptor(path):
         raise ValueError(f"n = {n} is too large: 2**{n} code bits do not fit in memory") from None
     flags[frozen] = 0
     K = N - len(frozen)
-    if "K" in desc and _integer(desc["K"], "K") != K:
+    if "K" in desc and check_integer(desc["K"], "K") != K:
         raise ValueError("descriptor K inconsistent with frozen_indices")
     return PolarCode(n=n, K=K, flags=flags, design_sigma=desc.get("design_sigma", 0.5))

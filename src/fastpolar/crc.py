@@ -3,6 +3,8 @@
 A cached GF(2) matrix form of the register map attaches and checks CRCs
 over frame batches (a CRC with a fixed init value is affine in the message
 bits); the bitwise register reference is ``crc_bits`` in the tests.
+The module imports nothing else of the package, so it also owns the input
+rules that other modules share: field types, integers and bit vectors.
 """
 
 import numbers
@@ -15,13 +17,28 @@ __all__ = ["CrcSpec", "CRC8", "CRC16", "CRC_NAMES", "crc_by_name", "crc_attach",
            "crc_check_batch"]
 
 
+def check_integer(value, name):
+    # 4.7 must not read as 4, nor true as 1
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def check_bits(values, name):
+    """``values`` as C-contiguous uint8, refused unless every entry is 0 or 1."""
+    values = np.asarray(values)
+    if not ((values == 0) | (values == 1)).all():  # a cast would wrap 257 to 1, 0.5 to 0
+        raise ValueError(f"{name} must hold only the bits 0 and 1")
+    return np.ascontiguousarray(values, dtype=np.uint8)
+
+
 def check_field_types(obj):
     """Reject a dataclass field declared ``int`` or ``bool`` that holds
     another type (a bool is not an integer here)."""
     for f in fields(obj):
         value = getattr(obj, f.name)
-        if f.type is int and (type(value) is bool or not isinstance(value, numbers.Integral)):
-            raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        if f.type is int:
+            check_integer(value, f.name)
         if f.type is bool and not isinstance(value, (bool, np.bool_)):
             raise ValueError(f"{f.name} must be true or false, got {value!r}")
 
@@ -59,7 +76,7 @@ def crc_by_name(name):
 
 def crc_attach(payload, spec):
     """Append the CRC to every bit vector along the last axis of ``payload``."""
-    payload = np.asarray(payload, dtype=np.uint8)
+    payload = check_bits(payload, "payload")
     return np.concatenate([payload, _crc_batch(payload, spec)], axis=-1)
 
 

@@ -20,7 +20,6 @@ __all__ = ["CostReport", "cost_sc", "cost_scl", "latency_table"]
 
 @dataclass(frozen=True)
 class CostReport:
-    node_set: str
     per_node: dict  # kind -> accumulated steps
 
     @property
@@ -45,33 +44,29 @@ _PRICES = {
 }
 
 
-def _report(plan, decoder, node_set):
-    col = ("sc", "scl").index(decoder)
+def _report(plan, col):
     per_node = {}
     for node in plan.walk():
         per_node[node.kind] = per_node.get(node.kind, 0) + _PRICES[node.kind](node)[col]
-    return CostReport(node_set, per_node)
+    return CostReport(per_node)
 
 
-def cost_sc(plan, node_set="custom"):
+def cost_sc(plan):
     """Total SC decoding time steps for a plan."""
-    return _report(plan, "sc", node_set)
+    return _report(plan, 0)
 
 
-def cost_scl(plan, node_set="custom"):
+def cost_scl(plan):
     """Total SCL decoding time steps for a plan."""
-    return _report(plan, "scl", node_set)
+    return _report(plan, 1)
 
 
 def latency_table(code):
-    """Per-decoder progression of costs over the node-set columns.
-
-    Returns {"sc": [CostReport, ...], "scl": [...]} with one report per
-    column: base, +G-Rep, +G-Rep+G-PC, then +RG-PC per AF budget.
-    """
+    """{"sc": [CostReport, ...], "scl": [...]}: one report per node-set
+    column of ``option_sweep()``, in its order."""
     table = {"sc": [], "scl": []}
-    for label, opts in option_sweep():
+    for _, opts in option_sweep():
         plan = classify(code, opts)
-        table["sc"].append(cost_sc(plan, label))
-        table["scl"].append(cost_scl(plan, label))
+        table["sc"].append(cost_sc(plan))
+        table["scl"].append(cost_scl(plan))
     return table

@@ -21,7 +21,7 @@ import numpy as np
 
 from .classify import PlanOptions, classify
 from .codec import _llr_limit, encode, sc_decode_batch
-from .construction import PolarCode, load_descriptor
+from .construction import PolarCode, _channel_mean, load_descriptor
 from .crc import CRC_NAMES, CrcSpec, check_field_types, crc_attach, crc_by_name
 from .fastsc import fast_ssc_decode_batch
 from .fastscl import fast_scl_decode_batch
@@ -45,8 +45,7 @@ LIST_DECODERS = frozenset({"scl", "ssclspc"})  # the decoders that take a list s
 
 def awgn_bpsk_llrs(x, sigma, rng):
     """BPSK-modulate bits, add N(0, sigma^2) noise, return channel LLRs."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    _channel_mean(0, sigma, "sigma")  # a positive real with 2/sigma^2 finite and nonzero
     x = np.asarray(x, dtype=np.float64)
     return _channel_llrs(x, sigma, rng.normal(size=x.shape))
 
@@ -160,7 +159,6 @@ class SimPoint:
 
 @dataclass
 class SimResult:
-    config_label: str
     points: list = field(default_factory=list)
 
     # wall-clock time stays off the CSV so reruns are byte-identical
@@ -238,7 +236,7 @@ def run_bler(cfg):
     decode = batch_decoder(cfg.decoder, cfg.code, cfg.plan_options(), cfg.list_size, cfg.crc)
     info = cfg.code.info_indices
     nbits = cfg.payload_bits
-    result = SimResult(config_label=cfg.decoder)
+    result = SimResult()
     for snr_idx, snr in enumerate(cfg.snr_db):
         sigma = cfg.sigma_for(snr)
         t0 = time.perf_counter()

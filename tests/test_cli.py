@@ -313,7 +313,7 @@ def test_simulate_writes_csv(tmp_path, capsys):
           "--emit-plotdata", str(plot)])
     lines = out.read_text().strip().split("\n")
     assert lines[0].startswith("snr_db,") and len(lines) == 2
-    assert plot.read_text().startswith("#")
+    assert plot.read_text().split("\n")[0] == "# fastssc"
 
 
 def test_unknown_command_exits():

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 import helpers
 from fastpolar.classify import PlanOptions, classify
-from fastpolar.codec import combine, encode, f_step, g_step, polar_transform, sc_decode, sc_decode_batch
+from fastpolar.codec import (_llr_limit, combine, encode, f_step, g_step, polar_transform,
+                             sc_decode, sc_decode_batch)
 from fastpolar.construction import PolarCode, construct_code
 from fastpolar.crc import CRC8
 from fastpolar.fastsc import fast_ssc_decode, fast_ssc_decode_batch
@@ -214,18 +215,6 @@ def test_sc_equals_descent_oracle(n, seed):
     assert np.array_equal(u_hat, u_ref) and np.array_equal(x_hat, x_ref)
 
 
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_non_finite_llrs_rejected(bad):
-    code = construct_code(5, 16, 0.5)
-    llrs = np.full((3, 32), 2.0)
-    llrs[1, [4, 9]] = bad
-    with pytest.raises(ValueError, match="2 of 96 channel LLRs are not finite"):
-        sc_decode_batch(llrs, code)
-    with pytest.raises(ValueError, match="2 of 32 channel LLRs are not finite"):
-        sc_decode(llrs[1], code)
-
-
 def _entry_points():
     code = construct_code(4, 8, 0.5)
     plan = classify(code, PlanOptions(enable_grep=True, enable_gpc=True))
@@ -302,6 +291,32 @@ def test_batch_entry_points_keep_frames_first_layout(name):
     for out in ref:
         assert out.shape[0] == 5 and out.flags.c_contiguous
     assert ref[0].shape == ((5, 4, 16) if name.endswith("paths_batch") else (5, 16))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_entry_points_reject_non_finite_llrs(name, bad):
+    # NaN or inf would decode silently to garbage; the message counts them
+    single, batch = _entry_points()
+    decode = {**single, **batch}[name]
+    llrs = np.full((3, 16), 2.0)
+    llrs[1, [4, 9]] = bad
+    llrs = llrs[1] if name in single else llrs
+    with pytest.raises(ValueError, match=f"2 of {llrs.size} channel LLRs are not finite"):
+        decode(llrs)
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_entry_points_reject_overflowing_llrs(name):
+    # at N * max|LLR| up to the float maximum an f/g sum could overflow to
+    # inf or NaN; test_fastsc and test_listdec check exactness just below
+    single, batch = _entry_points()
+    decode = {**single, **batch}[name]
+    frame = np.random.default_rng(6).choice([-1.0, 1.0], 16) * np.linspace(0.5, 1.0, 16)
+    frames = frame if name in single else np.stack([frame, -frame])
+    for peak in (_llr_limit(16), 1e308):
+        with pytest.raises(ValueError, match=r"N \* max\|LLR\| must stay below the float"):
+            decode(frames * peak)
 
 
 @pytest.mark.parametrize("name", ENTRY_POINTS)

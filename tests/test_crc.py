@@ -19,6 +19,14 @@ def test_round_trip(spec):
         assert crc_check_batch(crc_attach(payload, spec), spec)
 
 
+def test_attach_rejects_non_bits():
+    # a uint8 cast used to carry 2 and 3 into the frame and cut 0.5 to 0
+    for bad in ([2, 3], [0, 0.5], [[0, 1], [1, -1]], [1, 257]):
+        with pytest.raises(ValueError, match="payload must hold only the bits 0 and 1"):
+            crc_attach(np.array(bad), CRC8)
+    assert crc_attach(np.array([True, False]), CRC8).dtype == np.uint8
+
+
 @pytest.mark.parametrize("spec", [CRC8, CRC16])
 def test_single_bit_flip_detected(spec):
     rng = np.random.default_rng(7)

@@ -42,3 +42,20 @@ def test_only_codec_imports_inside_a_function():
                  for node in sorted(nested, key=lambda node: node.lineno)
                  for alias in node.names]
     assert lazy == [("codec", "fastsc", "_decode_node")]
+
+
+def test_shared_input_rules_raise_from_one_function():
+    # the bit and integer rules live in crc, which every module can import;
+    # a second function raising either message would be a copy free to drift
+    rules = ("must hold only the bits 0 and 1", "must be an integer, got")
+    raisers = {rule: [] for rule in rules}
+    for path in sorted(Path(fastpolar.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            texts = [str(c.value) for node in ast.walk(fn) if isinstance(node, ast.Raise)
+                     for c in ast.walk(node) if isinstance(c, ast.Constant)]
+            for rule in rules:
+                if any(rule in text for text in texts):
+                    raisers[rule].append((path.stem, fn.name))
+    assert raisers == {rules[0]: [("crc", "check_bits")], rules[1]: [("crc", "check_integer")]}

@@ -223,20 +223,11 @@ def test_zero_llr_tie_break_matches_sc():
 
 
 def test_overflowing_llrs_rejected():
-    # finite LLRs near the float maximum: the right half's g-sums would
-    # overflow to -inf and +inf, and the next g-step give [NaN, -1e307] at
-    # the last Rate-1 node, where SC and the node's hard decision part ways.
-    # The entry points reject N * max|LLR| at the float maximum; just below
-    # it no f/g sum overflows, and fast SC matches SC
-    code = make_code([0, 0, 0, 0, 0, 0, 1, 1])
-    frame = np.array([[-0.9, 1.0, 1.0, 0.5, -1.0, -0.7, 0.9, -0.9]])
-    limit = np.finfo(np.float64).max / 8
-    for decode in (lambda x: sc_decode_batch(x, code),
-                   lambda x: fast_ssc_decode_batch(x, classify(code)),
-                   lambda x: fast_ssc_decode(x[0], classify(code))):
-        for peak in (1e308, limit):
-            with pytest.raises(ValueError, match=r"N \* max\|LLR\| must stay below the float"):
-                decode(frame * peak)
+    # finite LLRs near the float maximum: an overflowing g-sum would give a
+    # NaN at a Rate-1 node, where SC and the node's hard decision part ways.
+    # The entry points reject N * max|LLR| at the float maximum (test_codec's
+    # entry-point table); just below it no f/g sum overflows, and fast SC
+    # matches SC
     rng = np.random.default_rng(5)
     for n in (3, 5, 8):
         code = construct_code(n, 1 << (n - 1), 0.5)
@@ -275,13 +266,3 @@ def test_rgpc_noiseless_recovery():
     u_hat, _ = fast_ssc_decode_batch(llrs, plan)
     assert np.array_equal(u_hat, u)
 
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_non_finite_llrs_rejected(bad):
-    plan = classify(construct_code(5, 16, 0.5), GEN)
-    llrs = np.full((3, 32), 2.0)
-    llrs[1, [4, 9]] = bad
-    with pytest.raises(ValueError, match="2 of 96 channel LLRs are not finite"):
-        fast_ssc_decode_batch(llrs, plan)
-    with pytest.raises(ValueError, match="2 of 32 channel LLRs are not finite"):
-        fast_ssc_decode(llrs[1], plan)

@@ -408,17 +408,3 @@ def test_plan_must_match_code_length():
             fast_scl_decode_batch(llrs, code, plan, 4, crc)
         with pytest.raises(ValueError, match="plan of size 64 cannot decode a code of length 128"):
             fast_scl_decode(llrs[0], code, plan, 4, crc)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_non_finite_llrs_rejected(bad):
-    code = construct_code(5, 16, 0.5)
-    plan = classify(code, GEN)
-    llrs = np.full((3, 32), 2.0)
-    llrs[1, [4, 9]] = bad
-    with pytest.raises(ValueError, match="2 of 96 channel LLRs are not finite"):
-        fast_scl_decode_batch(llrs, code, plan, 4)
-    with pytest.raises(ValueError, match="2 of 96 channel LLRs are not finite"):
-        fast_scl_decode_paths_batch(llrs, plan, 4)
-    with pytest.raises(ValueError, match="2 of 32 channel LLRs are not finite"):
-        fast_scl_decode(llrs[1], code, plan, 4)

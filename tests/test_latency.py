@@ -1,8 +1,7 @@
-import numpy as np
 import pytest
 
 from fastpolar import fastsc, latency, listdec
-from fastpolar.classify import PlanOptions, classify
+from fastpolar.classify import PlanOptions, classify, option_sweep
 from fastpolar.construction import construct_code
 from fastpolar.latency import CostReport, cost_sc, cost_scl, latency_table
 from helpers import make_code
@@ -57,16 +56,19 @@ def test_report_total_matches_breakdown():
     for opts in (PlanOptions(), GEN, PlanOptions(True, True, 2)):
         for rep in (cost_sc(classify(code, opts)), cost_scl(classify(code, opts))):
             assert rep.total_steps == sum(rep.per_node.values())
-    assert CostReport("base", {"rep": 2, "split": 4}).total_steps == 6
+    assert CostReport({"rep": 2, "split": 4}).total_steps == 6
 
 
 def test_table_shape_and_labels():
+    # one report per option_sweep() column, in its order: the CLI reads the
+    # column labels from option_sweep()
     code = construct_code(6, 32, 0.5)
     table = latency_table(code)
     assert set(table) == {"sc", "scl"}
-    labels = [r.node_set for r in table["sc"]]
-    assert labels == ["base", "+grep", "+gpc", "+rgpc1", "+rgpc2", "+rgpc3"]
-    assert [r.node_set for r in table["scl"]] == labels
+    sweep = option_sweep()
+    assert [label for label, _ in sweep] == ["base", "+grep", "+gpc", "+rgpc1", "+rgpc2", "+rgpc3"]
+    for (_, opts), sc, scl in zip(sweep, table["sc"], table["scl"], strict=True):
+        assert sc == cost_sc(classify(code, opts)) and scl == cost_scl(classify(code, opts))
 
 
 @pytest.mark.parametrize("n,K", [(6, 16), (7, 64), (8, 200), (9, 256)])

@@ -48,8 +48,11 @@ def test_awgn_matches_written_out_channel_and_keeps_x(shape):
 
 
 def test_awgn_rejects_bad_sigma():
-    with pytest.raises(ValueError):
-        awgn_bpsk_llrs(np.zeros(4, np.uint8), 0.0, np.random.default_rng(0))
+    # construct_code's sigma rule: NaN used to give NaN LLRs, and inf or
+    # 1e-160 a RuntimeWarning (an error under this suite's filter)
+    for bad in (0.0, -0.5, np.nan, np.inf, -np.inf, 1e-160, 1e200, True, "0.5"):
+        with pytest.raises(ValueError, match="^sigma must be a positive number .* got"):
+            awgn_bpsk_llrs(np.zeros(4, np.uint8), bad, np.random.default_rng(0))
 
 
 def test_wilson_interval_sanity():
