@@ -95,20 +95,21 @@ def _affine_map(spec, length):
     regs.append(zero ^ spec.final_xor)
     bits = np.array([[(r >> (spec.width - 1 - i)) & 1 for i in range(spec.width)] for r in regs],
                     dtype=np.uint8)
-    M, c0 = bits[:-1], bits[-1]
+    M, c0 = bits[:-1].astype(np.float64), bits[-1]
     # row k of M is the bit fed k before the end; reflect feeds the payload
     # backwards and reverses the register's bits
     return (M[:, ::-1].copy(), c0[::-1]) if spec.reflect else (M[::-1].copy(), c0)
 
 
 def _crc_batch(payload, spec):
+    # a float64 product runs on BLAS and counts exactly below 2^53 payload bits
     M, zero = _affine_map(spec, payload.shape[-1])
-    return (payload @ M & 1) ^ zero
+    return ((payload.astype(np.float64) @ M) % 2).astype(np.uint8) ^ zero
 
 
 def crc_check_batch(bits, spec):
     """Whether each bit vector along the last axis of ``bits`` ends in its CRC."""
-    bits = np.asarray(bits, dtype=np.uint8)
+    bits = check_bits(bits, "bits")
     n = bits.shape[-1]
     if n < spec.width:
         raise ValueError("bit vectors shorter than the CRC width")

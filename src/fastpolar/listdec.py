@@ -5,12 +5,12 @@ prunes to the L lowest-metric candidates (stable tie-break on candidate
 creation order).  The walker extends the path set node by node over a
 decode plan: Rate-0, Rep and Rate-1 nodes at the node root, G-Rep by
 folding onto its Rate-C child, and SPC/G-PC/RG-PC by (same-Np half,
-Rate-1 half) splits down to their all-frozen Np block.  Its surviving path
-set matches tree-descent SCL on the code or, for a plan with RG-PC nodes,
-on its relaxed code (every AF bit unfrozen).  Plain SCL is the walker on
-the leaves-only plan.  Every frame of a batch holds the same number of
-alive paths at any point, because forks depend only on the frozen
-pattern.  ``select_output`` picks each frame's winner.
+Rate-1 half) splits down to a fold of their all-frozen Np block.  Its
+surviving path set matches tree-descent SCL on the code or, for a plan
+with RG-PC nodes, on its relaxed code (every AF bit unfrozen).  Plain SCL
+is the walker on the leaves-only plan.  Every frame of a batch holds the
+same number of alive paths at any point, because forks depend only on the
+frozen pattern.  ``select_output`` picks each frame's winner.
 """
 
 import numbers
@@ -40,6 +40,7 @@ class PathSet:
         self.P = 1
         self.pm = np.zeros((B, 1))
         self.rows = np.arange(B)[:, None]
+        self.bases = np.arange(L + 1)[:, None, None] * self.rows  # [P]: each frame's b * P
 
     def realign(self, arr, anc):
         """Gather a (..., B, P_then) array into a C-ordered (..., B, P_now) one.
@@ -53,21 +54,20 @@ class PathSet:
             return anc
         return arr.reshape(arr.shape[:-2] + (-1,)).take(anc, axis=-1)
 
-    def fork(self, pen0, pen1):
+    def fork(self, pen):
         """Split every path on a binary decision and prune to L.
 
-        pen0/pen1: (B, P) metric penalties for deciding 0/1.  Returns
-        (src, bits): for each surviving row, its pre-fork parent row (a flat
-        index into the B·P paths) and the decided bit; ``src`` is the fork's
-        ancestry.
+        pen: (B, 2, P) metric penalties for deciding 0 and 1, so candidate
+        ``c`` is bit ``c // P`` on row ``c % P``.  Returns (src, bits): for
+        each surviving row, its pre-fork parent row (a flat index into the
+        B·P paths) and the decided bit (int64); ``src`` is the fork's ancestry.
         """
-        cand = np.concatenate([self.pm + pen0, self.pm + pen1], axis=1)
-        newP = min(2 * self.P, self.L)
-        order = np.argsort(cand, axis=1, kind="stable")[:, :newP]
-        src = order % self.P + self.rows * self.P
-        bits = (order >= self.P).astype(np.uint8)
+        cand = (self.pm[:, None] + pen).reshape(len(self.pm), -1)
+        order = cand.argsort(axis=1, kind="stable")[:, :self.L]
+        bits, src = np.divmod(order, self.P)
+        src += self.bases[self.P]
         self.pm = cand[self.rows, order]
-        self.P = newP
+        self.P = order.shape[1]
         return src, bits
 
     def settled(self):
@@ -88,19 +88,12 @@ class PathSet:
         self.pm = self.pm + pen
 
 
-def _relu_neg(a):
-    # Eq-(7) penalty for deciding 0 everywhere: |alpha| where the hard
-    # decision disagrees
-    return np.fmax(-a, 0.0)
-
-
-def _penalties(a):
-    # Eq-(7) penalties for deciding 0 and for deciding 1
-    return _relu_neg(a), np.fmax(a, 0.0)
+# fmax(sign * alpha, 0): the Eq-(7) penalties for deciding 0 and 1
+_SIGNS = np.array([[-1.0], [1.0]])
 
 
 def _extend_rate0(ps, alpha):
-    ps.penalize(_relu_neg(alpha).sum(axis=0))
+    ps.penalize(np.fmax(-alpha, 0.0).sum(axis=0))
     return np.zeros(alpha.shape, dtype=np.uint8), None
 
 
@@ -130,7 +123,7 @@ def _extend_serial(ps, alpha):
                 if i == size:
                     break
             a = a[run]
-        src, bits = ps.fork(*_penalties(a))
+        src, bits = ps.fork(np.fmax(a[:, None] * _SIGNS, 0.0))
         beta = beta.reshape(size, -1).take(src, axis=1)
         beta[i] = bits
         anc = ps.realign(anc, src)
@@ -139,30 +132,33 @@ def _extend_serial(ps, alpha):
 
 
 def _extend_rep(ps, alpha):
-    pen0, pen1 = _penalties(alpha)
-    src, bits = ps.fork(pen0.sum(axis=0), pen1.sum(axis=0))
-    return np.repeat(bits[None], alpha.shape[0], axis=0), src
+    # one (2, size, B, P) sum adds each decision's terms as a (size, B, P) sum does
+    pen = np.fmax(_SIGNS[..., None, None] * alpha, 0.0).sum(axis=1)
+    src, bits = ps.fork(pen.swapaxes(0, 1))
+    return np.repeat(bits.astype(np.uint8)[None], alpha.shape[0], axis=0), src
 
 
-def _extend_grep(ps, alpha, plan):
-    # fold through the all-frozen left siblings, charging their Rate-0
-    # penalties level by level
-    size = alpha.shape[0]
-    p = plan.rate_c.stage
-    while alpha.shape[0] > (1 << p):
+def _extend_folded(ps, alpha, size, child=None):
+    """All-frozen left halves down to ``size`` LLRs, then the ``child`` plan
+    (a Rate-1 serial extension if None).  Each level charges the Rate-0
+    penalty of f(a, b), min(|a|, |b|) where the signs differ, and goes on
+    with g = b + a (the left partial sums are zero)."""
+    folds = alpha.shape[0] // size
+    while alpha.shape[0] > size:
         half = alpha.shape[0] // 2
-        ps.penalize(_relu_neg(f_step(alpha)).sum(axis=0))
-        alpha = alpha[half:] + alpha[:half]
-    beta_rc, anc = _extend_node(ps, alpha, plan.rate_c)
-    return np.concatenate([beta_rc] * (size >> p)), anc
+        a, b = alpha[:half], alpha[half:]
+        ps.penalize(np.fmax(np.fmax(np.minimum(-a, b), np.minimum(a, -b)), 0.0).sum(axis=0))
+        alpha = b + a
+    beta, anc = _extend_serial(ps, alpha) if child is None else _extend_node(ps, alpha, child)
+    return np.concatenate([beta] * folds), anc
 
 
 def _extend_parity(ps, alpha, np_sub):
     # an SPC, G-PC or RG-PC node: walking it as (same-Np half, Rate-1 half)
-    # splits down to its Rate-0 Np block keeps the descent path set and
-    # enforces the Np parity constraints; RG-PC's AF bits are information
-    if alpha.shape[0] == np_sub:
-        return _extend_rate0(ps, alpha)
+    # splits down to a fold of its Rate-0 Np block keeps the descent path
+    # set and enforces the Np parity constraints; RG-PC's AF bits are information
+    if alpha.shape[0] == 2 * np_sub:
+        return _extend_folded(ps, alpha, np_sub)
     bl, anc_l = _extend_parity(ps, f_step(alpha), np_sub)
     br, anc_r = _extend_serial(ps, g_step(ps.realign(alpha, anc_l), bl))
     return combine(ps.realign(bl, anc_r), br), ps.realign(anc_l, anc_r)
@@ -181,7 +177,7 @@ _NODE_EXTENDERS = {
     "rate0": lambda ps, alpha, plan: _extend_rate0(ps, alpha),
     "rate1": lambda ps, alpha, plan: _extend_serial(ps, alpha),
     "rep": lambda ps, alpha, plan: _extend_rep(ps, alpha),
-    "grep": _extend_grep,
+    "grep": lambda ps, alpha, plan: _extend_folded(ps, alpha, plan.rate_c.size, plan.rate_c),
     **dict.fromkeys(("spc", "gpc", "rgpc"),
                     lambda ps, alpha, plan: _extend_parity(ps, alpha, plan.np_sub)),
     "split": _extend_split,
@@ -224,7 +220,7 @@ def select_output(u, pm, code, crc=None):
     B = u.shape[0]
     best = np.zeros(B, dtype=np.int64)
     if crc is not None:  # a row with no passing path has argmax 0, the lowest metric
-        best = np.argmax(crc_check_batch(u[:, :, code.flags == 1], crc), axis=1)
+        best = np.argmax(crc_check_batch(u.take(code.info_indices, axis=2), crc), axis=1)
     return u[np.arange(B), best], pm[np.arange(B), best]
 
 

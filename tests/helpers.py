@@ -47,6 +47,20 @@ def crc_bits(payload, spec):
     return np.array(out, dtype=np.uint8)
 
 
+def fork_reference(ps, pen0, pen1):
+    """``PathSet.fork`` from two (B, P) penalty arrays, one per decision:
+    the candidates concatenated, pruned by a stable argsort.  Returns
+    (src, bits) like the library's fork and updates ``ps`` the same way."""
+    cand = np.concatenate([ps.pm + pen0, ps.pm + pen1], axis=1)
+    newP = min(2 * ps.P, ps.L)
+    order = np.argsort(cand, axis=1, kind="stable")[:, :newP]
+    src = order % ps.P + ps.rows * ps.P
+    bits = (order >= ps.P).astype(np.uint8)
+    ps.pm = cand[ps.rows, order]
+    ps.P = newP
+    return src, bits
+
+
 def ga_llr_means_reference(n, design_sigma):
     """Reference GA means: the check update solved one bit-channel at a time
     with the scalar ``_check_update``, level by level."""

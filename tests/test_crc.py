@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fastpolar.crc import CRC8, CRC16, CrcSpec, crc_attach, crc_check_batch
+from fastpolar.crc import (CRC8, CRC16, CrcSpec, _affine_map, _crc_batch, crc_attach,
+                           crc_check_batch)
 from helpers import crc_bits
 
 
@@ -25,6 +26,35 @@ def test_attach_rejects_non_bits():
         with pytest.raises(ValueError, match="payload must hold only the bits 0 and 1"):
             crc_attach(np.array(bad), CRC8)
     assert crc_attach(np.array([True, False]), CRC8).dtype == np.uint8
+
+
+def test_check_rejects_non_bits():
+    # read modulo 2, the frame [2, 3] + crc([0, 1]) would check as True
+    frame = np.concatenate([[2, 3], crc_attach(np.array([0, 1]), CRC8)[2:]])
+    for bad in (frame, frame.astype(np.uint8), [0, 0.5, *[0] * 8], [[0] * 10, [1, -1, *[0] * 8]],
+                np.array([0, 257, *[0] * 8], np.uint16)):
+        with pytest.raises(ValueError, match="bits must hold only the bits 0 and 1"):
+            crc_check_batch(np.array(bad), CRC8)
+    assert crc_check_batch(crc_attach(np.array([True, False]), CRC8).astype(bool), CRC8)
+
+
+@pytest.mark.parametrize("spec", [CRC8, CRC16, CrcSpec(width=16, polynomial=0x8005,
+                                                      init=0xFFFF, reflect=True,
+                                                      final_xor=0xA5A5)])
+@pytest.mark.parametrize("length", [4096, 65536])
+def test_long_payload_products_are_exact(spec, length):
+    # the float64 product's sums reach about length / 2, far past 255; it
+    # must give the bitwise reference and the uint8 product, whose wrapping
+    # sums are still right modulo 2
+    rng = np.random.default_rng(length + spec.width)
+    payloads = rng.integers(0, 2, (3, length), dtype=np.uint8)
+    payloads[0] = 1  # the largest sums
+    M, zero = _affine_map(spec, length)
+    wrapping = (payloads @ M.astype(np.uint8) & 1) ^ zero
+    ref = np.stack([crc_bits(p, spec) for p in payloads])
+    assert np.array_equal(_crc_batch(payloads, spec), ref)
+    assert np.array_equal(wrapping, ref)
+    assert crc_check_batch(crc_attach(payloads, spec), spec).all()
 
 
 @pytest.mark.parametrize("spec", [CRC8, CRC16])

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,10 +9,11 @@ from fastpolar import fastsc, listdec
 from fastpolar.classify import PlanOptions, classify, leaves_only_plan, option_sweep
 from fastpolar.codec import encode, polar_transform
 from fastpolar.construction import construct_code
-from fastpolar.crc import CRC8, crc_attach
+from fastpolar.crc import CRC8, CRC16, crc_attach
 from fastpolar.fastsc import fast_ssc_decode_batch
 from fastpolar.fastscl import fast_scl_decode, fast_scl_decode_batch, fast_scl_decode_paths_batch
 from fastpolar.listdec import PathSet, scl_decode, scl_decode_paths_batch, select_output
+from fastpolar.sim import awgn_bpsk_llrs
 from helpers import canon_paths, make_code, path_metric_of, relaxed_code, scl_descent_paths_batch
 
 GEN = PlanOptions(enable_grep=True, enable_gpc=True)
@@ -340,14 +343,34 @@ def test_noop_forks_are_skipped(monkeypatch):
     forks = []
     fork = PathSet.fork
 
-    def counted(ps, pen0, pen1):
+    def counted(ps, pen):
         forks.append(1)
-        return fork(ps, pen0, pen1)
+        return fork(ps, pen)
 
     monkeypatch.setattr(PathSet, "fork", counted)
     u, pm = fast_scl_decode_paths_batch(llrs, plan, 8)
     assert len(forks) < code.K
     assert np.array_equal(u, u_ref) and np.array_equal(pm, pm_ref)
+
+
+def test_benchmark_path_sets_pinned():
+    # SHA-256 of (u, pm) from both list decoders on the N=1024, K=512, L=8,
+    # CRC16 benchmark code at 1.5 dB: a change to the fork or the CRC
+    # product must keep every path, its row and its metric bits
+    code = construct_code(10, 512, 0.5)
+    rng = np.random.default_rng(2507)
+    u = np.zeros((16, code.N), np.uint8)
+    u[:, code.info_indices] = crc_attach(rng.integers(0, 2, (16, code.K - 16), dtype=np.uint8),
+                                         CRC16)
+    sigma = np.sqrt(1.0 / (2.0 * 496 / 1024 * 10 ** 0.15))
+    llrs = awgn_bpsk_llrs(encode(u, code), sigma, rng)
+    for (uu, pm), digest in (
+            (fast_scl_decode_paths_batch(llrs, classify(code, GEN), 8),
+             "fd48d896e43ac39238c24693db3ad1b62096c6ba882cc39e975d9bcefccd11b3"),
+            (scl_decode_paths_batch(llrs, code, 8),
+             "ff2c2f0b064d066a702a4d6f28c7b0d38fe2bdb484fe9c93f2566aa388cd9b0a")):
+        assert uu.shape == (16, 8, code.N) and uu.dtype == np.uint8
+        assert hashlib.sha256(uu.tobytes() + pm.tobytes()).hexdigest() == digest
 
 
 def test_rgpc_may_violate_frozen_bits_without_error():

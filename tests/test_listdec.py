@@ -3,12 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fastpolar.codec import polar_transform
+from fastpolar import listdec
+from fastpolar.classify import PlanOptions, classify
+from fastpolar.codec import f_step, polar_transform
 from fastpolar.construction import construct_code
 from fastpolar.crc import CRC8, crc_attach
 from fastpolar.listdec import (PathSet, scl_decode, scl_decode_batch, scl_decode_paths_batch,
                                select_output)
-from helpers import make_code, path_metric_of, sc_descent_batch, scl_descent_paths_batch
+from helpers import (fork_reference, make_code, path_metric_of, sc_descent_batch,
+                     scl_descent_paths_batch)
 
 
 def test_list_one_equals_sc():
@@ -269,10 +272,72 @@ def test_noop_predicate_agrees_with_fork(seed, B, L, full):
     pm = ps.pm.copy()
     for j in np.flatnonzero(noop):
         col = a[:, :, j]
-        src, bits = ps.fork(np.where(col < 0, -col, 0.0), np.where(col >= 0, col, 0.0))
+        src, bits = ps.fork(np.stack([np.where(col < 0, -col, 0.0),
+                                      np.where(col >= 0, col, 0.0)], axis=1))
         assert np.array_equal(src, ps.rows * ps.P + np.arange(ps.P))
         assert np.array_equal(bits, col < 0)
         assert np.array_equal(ps.pm, pm)
+
+
+@given(st.integers(0, 10 ** 6), st.integers(1, 4), st.sampled_from([1, 2, 3, 4, 8]))
+@settings(max_examples=300, deadline=None)
+def test_fork_matches_two_penalty_reference(seed, B, L):
+    # tie-heavy forks: small-integer metrics and penalties, repeated values
+    # and zeros of both signs, P at or below L.  One (B, 2, P) penalty block
+    # must keep the same rows in the same order, with the same bits and
+    # bitwise the same metrics, as two penalty arrays concatenated
+    rng = np.random.default_rng(seed)
+    ps, ref = PathSet(B, L), PathSet(B, L)
+    ps.P = ref.P = int(rng.integers(1, L + 1))
+    for _ in range(int(rng.integers(1, 6))):
+        pm = rng.integers(0, 4, (B, ps.P)).astype(float)
+        pm[rng.random(pm.shape) < 0.2] = -0.0
+        pen = rng.integers(0, 3, (B, 2, ps.P)).astype(float)
+        pen[rng.random(pen.shape) < 0.3] *= -0.0
+        ps.pm, ref.pm = pm, pm.copy()
+        src, bits = ps.fork(pen)
+        src_ref, bits_ref = fork_reference(ref, pen[:, 0], pen[:, 1])
+        assert np.array_equal(src, src_ref) and np.array_equal(bits, bits_ref)
+        assert ps.P == ref.P and ps.pm.tobytes() == ref.pm.tobytes()
+
+
+@given(st.integers(0, 10 ** 6), st.integers(1, 3), st.sampled_from([1, 2, 3, 4, 8]))
+@settings(max_examples=200, deadline=None)
+def test_rep_and_fold_penalties_keep_their_sums(seed, B, L):
+    # a Rep node forks on the per-decision penalty sums, each summed over a
+    # (size, B, P) array: at B = P = 1 numpy sums that pairwise, and other
+    # layouts of the same values can round differently.  A G-Rep fold level
+    # charges the Rate-0 penalty of f(a, b) without forming f.  Both must
+    # leave the metrics bitwise as these reference sums do
+    rng = np.random.default_rng(seed)
+    size = 1 << int(rng.integers(1, 8))
+    P = int(rng.integers(1, L + 1))
+    alpha = rng.normal(size=(size, B, P)) * 10.0 ** rng.integers(-3, 4)
+    if rng.random() < 0.5:
+        alpha = rng.integers(-2, 3, alpha.shape) * (1.0 - 2.0 * (rng.random(alpha.shape) < 0.5))
+    pm = np.sort(rng.integers(0, 4, (B, P)), axis=1).astype(float)
+
+    def paths():
+        ps = PathSet(B, L)
+        ps.P, ps.pm = P, pm.copy()
+        return ps
+
+    code = make_code([0] * (size - 1) + [1])
+    ps, ref = paths(), paths()
+    beta, src = listdec._extend_node(ps, alpha, classify(code, PlanOptions(False, False)))
+    src_ref, bits_ref = fork_reference(ref, np.fmax(-alpha, 0.0).sum(axis=0),
+                                       np.fmax(alpha, 0.0).sum(axis=0))
+    assert np.array_equal(src, src_ref) and ps.pm.tobytes() == ref.pm.tobytes()
+    assert beta.dtype == np.uint8 and np.array_equal(beta, np.broadcast_to(bits_ref, beta.shape))
+    plan = classify(code, PlanOptions(True, True))
+    ps, ref, a = paths(), paths(), alpha
+    beta, anc = listdec._extend_node(ps, alpha, plan)
+    while a.shape[0] > 1:
+        ref.penalize(np.fmax(-f_step(a), 0.0).sum(axis=0))
+        a = a[a.shape[0] // 2:] + a[:a.shape[0] // 2]
+    beta_ref, anc_ref = listdec._extend_node(ref, a, plan.rate_c)
+    assert ps.pm.tobytes() == ref.pm.tobytes() and np.array_equal(anc, anc_ref)
+    assert np.array_equal(beta, np.concatenate([beta_ref] * size))
 
 
 def test_overflowing_llrs_rejected():
