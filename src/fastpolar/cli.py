@@ -16,6 +16,7 @@ from .codec import encode
 from .construction import construct_code, load_descriptor, save_descriptor
 from .crc import CRC_NAMES, crc_by_name
 from .latency import latency_table
+from .listdec import check_list_size
 from .sim import DECODERS, LIST_DECODERS, batch_decoder, load_sim_config, run_bler
 
 # --nodes names a rung of the node-set ladder, as the latency columns do
@@ -43,9 +44,14 @@ def cmd_encode(args):
 
 
 def cmd_decode(args):
+    if args.list is not None:
+        check_list_size(args.list, "--list")
+    if args.algo not in LIST_DECODERS and (args.list or args.crc != "none"):
+        raise ValueError(f"--list and --crc apply only with --algo "
+                         f"{' or '.join(sorted(LIST_DECODERS))}")
     code = load_descriptor(args.code)
     llrs = _read_vector(sys.stdin)
-    L = 4 if args.list is None else args.list
+    L = args.list or (4 if args.algo in LIST_DECODERS else 1)
     decode = batch_decoder(args.algo, code, NODE_SETS[args.nodes], L, crc_by_name(args.crc))
     _write_vector(sys.stdout, decode(llrs[None, :])[0], "%d")
 
@@ -139,11 +145,6 @@ def build_parser():
 def main(argv=None):
     ap = build_parser()
     args = ap.parse_args(argv)
-    if args.command == "decode" and args.list is not None and args.list < 1:
-        ap.error("--list must be >= 1")
-    if args.command == "decode" and args.algo not in LIST_DECODERS and (
-            args.list or args.crc != "none"):
-        ap.error(f"--list and --crc apply only with --algo {' or '.join(sorted(LIST_DECODERS))}")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:  # bad input data, codes or configs

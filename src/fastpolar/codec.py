@@ -88,14 +88,18 @@ def _llr_limit(N):
     return np.finfo(np.float64).max / N
 
 
+def check_minsum(minsum):
+    if type(minsum) not in (bool, np.bool_) or not minsum:
+        raise ValueError(f"minsum must be True, got {minsum!r}: the exact f-update was "
+                         f"removed, and every decoder uses min-sum")
+
+
 def _llr_batch(channel_llrs, N, minsum):
     """Channel LLRs as a bounded, C-contiguous float (N, B) array, positions
     first, as the walkers take them; one frame becomes a batch of one.
     Every check that the walkers' kernels rely on runs here, once per call,
     as does the check of the entry points' f-rule keyword."""
-    if type(minsum) not in (bool, np.bool_) or not minsum:
-        raise ValueError(f"minsum must be True, got {minsum!r}: the exact f-update was "
-                         f"removed, and every decoder uses min-sum")
+    check_minsum(minsum)
     if np.iscomplexobj(channel_llrs):  # a float cast would drop the imaginary part
         raise ValueError("channel LLRs must be real, got a complex array")
     alpha = np.asarray(channel_llrs, dtype=np.float64)

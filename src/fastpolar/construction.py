@@ -170,12 +170,8 @@ def construct_code(n, K, design_sigma=0.5):
 
 def save_descriptor(code, path):
     """Write the JSON code descriptor consumed by the CLI subcommands."""
-    desc = {
-        "n": code.n,
-        "K": code.K,
-        "design_sigma": code.design_sigma,
-        "frozen_indices": [int(i) for i in code.frozen_indices],
-    }
+    desc = {"n": code.n, "K": code.K, "design_sigma": code.design_sigma,
+            "frozen_indices": code.frozen_indices.tolist()}
     with open(path, "w") as fh:
         json.dump(desc, fh, indent=2)
         fh.write("\n")

@@ -70,7 +70,7 @@ def crc_by_name(name):
     """The CrcSpec a CLI or config name stands for (None for "none")."""
     try:
         return CRC_NAMES[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name
         raise ValueError(f"unknown CRC {name!r}; choose one of {list(CRC_NAMES)}") from None
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .classify import leaves_only_plan
 from .codec import _llr_batch, _one_frame, combine, f_step, g_step, polar_transform
-from .crc import CrcSpec, crc_check_batch
+from .crc import CRC_NAMES, CrcSpec, crc_check_batch
 
 __all__ = ["scl_decode", "scl_decode_batch", "scl_decode_paths_batch", "select_output"]
 
@@ -92,8 +92,13 @@ class PathSet:
 _SIGNS = np.array([[-1.0], [1.0]])
 
 
+def _sum_rows(x):
+    # the leading-axis sum in row order at every shape; numpy sums one lane pairwise
+    return x.sum(axis=0) if x.size > len(x) else np.add.accumulate(x)[-1]
+
+
 def _extend_rate0(ps, alpha):
-    ps.penalize(np.fmax(-alpha, 0.0).sum(axis=0))
+    ps.penalize(_sum_rows(np.fmax(-alpha, 0.0)))
     return np.zeros(alpha.shape, dtype=np.uint8), None
 
 
@@ -132,9 +137,8 @@ def _extend_serial(ps, alpha):
 
 
 def _extend_rep(ps, alpha):
-    # one (2, size, B, P) sum adds each decision's terms as a (size, B, P) sum does
-    pen = np.fmax(_SIGNS[..., None, None] * alpha, 0.0).sum(axis=1)
-    src, bits = ps.fork(pen.swapaxes(0, 1))
+    # summed in the fork's (B, 2, P) layout: two lanes or more, so in row order
+    src, bits = ps.fork(np.fmax(alpha[:, :, None] * _SIGNS, 0.0).sum(axis=0))
     return np.repeat(bits.astype(np.uint8)[None], alpha.shape[0], axis=0), src
 
 
@@ -147,7 +151,7 @@ def _extend_folded(ps, alpha, size, child=None):
     while alpha.shape[0] > size:
         half = alpha.shape[0] // 2
         a, b = alpha[:half], alpha[half:]
-        ps.penalize(np.fmax(np.fmax(np.minimum(-a, b), np.minimum(a, -b)), 0.0).sum(axis=0))
+        ps.penalize(_sum_rows(np.fmax(np.fmax(np.minimum(-a, b), np.minimum(a, -b)), 0.0)))
         alpha = b + a
     beta, anc = _extend_serial(ps, alpha) if child is None else _extend_node(ps, alpha, child)
     return np.concatenate([beta] * folds), anc
@@ -188,10 +192,20 @@ def _extend_node(ps, alpha, plan):
     return _NODE_EXTENDERS[plan.kind](ps, alpha, plan)
 
 
+def check_list_size(L, name="list size L"):
+    if type(L) is bool or not isinstance(L, numbers.Integral) or L < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {L!r}")
+
+
+def check_crc(crc):
+    if crc is not None and not isinstance(crc, CrcSpec):
+        raise ValueError(f"crc must be None or a CrcSpec (in a config file: one of "
+                         f"{list(CRC_NAMES)} or a spec object), got {crc!r}")
+
+
 def _decode_paths(alpha, plan, L):
     """Walk ``plan`` over (N, B) LLRs; returns (u (B, P, N), pm) sorted by metric."""
-    if type(L) is bool or not isinstance(L, numbers.Integral) or L < 1:
-        raise ValueError(f"list size L must be an integer >= 1, got {L!r}")
+    check_list_size(L)
     ps = PathSet(alpha.shape[1], L)
     beta, _ = _extend_node(ps, alpha[:, :, None], plan)
     order = np.argsort(ps.pm, axis=1, kind="stable")
@@ -200,12 +214,7 @@ def _decode_paths(alpha, plan, L):
 
 
 def scl_decode_paths_batch(channel_llrs, code, L, minsum=True):
-    """Run batched SCL and return the full surviving path sets.
-
-    Plain SCL is the walker run on the leaves-only plan.  Returns
-    (u, pm): (B, P, N) bit histories and (B, P) metrics, rows sorted by
-    metric (stable).
-    """
+    """Batched SCL; returns (u (B, P, N), pm (B, P)) sorted by metric (stable)."""
     return _decode_paths(_llr_batch(channel_llrs, code.N, minsum), leaves_only_plan(code), L)
 
 
@@ -215,8 +224,7 @@ def select_output(u, pm, code, crc=None):
     ``u``/``pm`` must be sorted by metric.  With a CRC, the best path whose
     unfrozen payload passes wins; if none passes, fall back to lowest metric.
     """
-    if crc is not None and not isinstance(crc, CrcSpec):
-        raise ValueError(f"crc must be None or a CrcSpec, got {crc!r}")
+    check_crc(crc)
     B = u.shape[0]
     best = np.zeros(B, dtype=np.int64)
     if crc is not None:  # a row with no passing path has argmax 0, the lowest metric

@@ -20,12 +20,12 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .classify import PlanOptions, classify
-from .codec import _llr_limit, encode, sc_decode_batch
+from .codec import _llr_limit, check_minsum, encode, sc_decode_batch
 from .construction import PolarCode, _channel_mean, load_descriptor
-from .crc import CRC_NAMES, CrcSpec, check_field_types, crc_attach, crc_by_name
+from .crc import CrcSpec, check_field_types, crc_attach, crc_by_name
 from .fastsc import fast_ssc_decode_batch
 from .fastscl import fast_scl_decode_batch
-from .listdec import scl_decode_batch
+from .listdec import check_crc, check_list_size, scl_decode_batch
 
 __all__ = ["DECODERS", "LIST_DECODERS", "SimConfig", "SimPoint", "SimResult", "awgn_bpsk_llrs",
            "run_bler", "batch_decoder", "load_sim_config"]
@@ -41,6 +41,15 @@ DECODERS = {
                 fast_scl_decode_batch(llrs, code, plan, L, crc)[0]),
 }
 LIST_DECODERS = frozenset({"scl", "ssclspc"})  # the decoders that take a list size L
+
+
+def check_decoder(name, list_size):
+    if not isinstance(name, str) or name not in DECODERS:
+        raise ValueError(f"decoder must be one of {tuple(DECODERS)}, got {name!r}")
+    check_list_size(list_size, "list_size")
+    if list_size != 1 and name not in LIST_DECODERS:
+        raise ValueError(f"list_size applies only to the list decoders "
+                         f"{sorted(LIST_DECODERS)}; {name} needs list_size 1")
 
 
 def awgn_bpsk_llrs(x, sigma, rng):
@@ -80,20 +89,14 @@ class SimConfig:
     batch: int = 1024
 
     def __post_init__(self):
-        if not isinstance(self.decoder, str) or self.decoder not in DECODERS:
-            raise ValueError(f"decoder must be one of {tuple(DECODERS)}")
+        check_decoder(self.decoder, self.list_size)
         check_field_types(self)
-        if not self.minsum:
-            raise ValueError("minsum must be true: the exact f-update was removed, "
-                             "and every decoder uses min-sum")
-        for name in ("list_size", "min_errors", "max_frames", "batch"):
+        check_minsum(self.minsum)
+        for name in ("min_errors", "max_frames", "batch"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         if not 0 <= self.seed < 1 << 64:  # the Philox key holds 64 bits of it
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
-        if self.list_size != 1 and self.decoder not in LIST_DECODERS:
-            raise ValueError(f"list_size applies only to the list decoders "
-                             f"{sorted(LIST_DECODERS)}; {self.decoder} needs list_size 1")
         self.plan_options()  # only the node-set ladder's rungs are accepted
         if not isinstance(self.snr_db, (list, tuple, np.ndarray)) or not all(
                 isinstance(s, numbers.Real) and not isinstance(s, bool) for s in self.snr_db):
@@ -106,11 +109,8 @@ class SimConfig:
         self.snr_db = snr
         if self.snr_unit not in ("ebn0", "esn0"):
             raise ValueError("snr_unit must be 'ebn0' or 'esn0'")
-        if self.crc is not None and not isinstance(self.crc, CrcSpec):
-            raise ValueError(f"crc must be None or a CrcSpec (in a config file: one of "
-                             f"{list(CRC_NAMES)} or a spec object), got {self.crc!r}")
-        crc_w = self.crc.width if self.crc else 0
-        if crc_w >= self.code.K + (self.code.K == 0):
+        check_crc(self.crc)
+        if self.crc and self.payload_bits <= 0:
             raise ValueError("CRC wider than the unfrozen budget")
         if self.snr_unit == "ebn0" and not self.payload_bits:
             raise ValueError("snr_unit 'ebn0' needs payload bits, and this code has none "
@@ -136,9 +136,8 @@ class SimConfig:
 
     def sigma_for(self, snr_db):
         lin = 10.0 ** (snr_db / 10.0)
-        if self.snr_unit == "esn0":
-            return float(np.sqrt(1.0 / (2.0 * lin)))
-        return float(np.sqrt(1.0 / (2.0 * self.effective_rate * lin)))
+        rate = 1.0 if self.snr_unit == "esn0" else self.effective_rate
+        return float(np.sqrt(1.0 / (2.0 * rate * lin)))
 
     def plan_options(self):
         return PlanOptions(enable_grep=self.enable_grep, enable_gpc=self.enable_gpc,
@@ -198,6 +197,7 @@ def _frame_rng(seed, snr_idx, frame_idx):
 def batch_decoder(name, code, opts, L, crc):
     """The (B, N) LLRs -> (B, N) u_hat call of decoder ``name``; the fast
     decoders classify ``code`` under ``opts`` once, here."""
+    check_decoder(name, L)
     fast, call = DECODERS[name]
     plan = classify(code, opts) if fast else None
     return lambda llrs: call(llrs, code, plan, L, crc)
@@ -206,8 +206,6 @@ def batch_decoder(name, code, opts, L, crc):
 def _gen_frames(cfg, snr_idx, start, count, sigma):
     """Payloads and channel LLRs for frames [start, start+count).
 
-    Each frame draws its payload, then its noise, from its own stream;
-    CRC, encoding and the channel then run once over the whole batch.
     One generator serves every frame: setting its state to the frame's key
     with the fresh state's zero counter and empty buffer starts the same
     stream as ``_frame_rng``, without building a Philox per frame.
@@ -234,8 +232,7 @@ def _gen_frames(cfg, snr_idx, start, count, sigma):
 def run_bler(cfg):
     """Run the Monte-Carlo sweep described by ``cfg``."""
     decode = batch_decoder(cfg.decoder, cfg.code, cfg.plan_options(), cfg.list_size, cfg.crc)
-    info = cfg.code.info_indices
-    nbits = cfg.payload_bits
+    info = cfg.code.info_indices[:cfg.payload_bits]  # the payload's positions
     result = SimResult()
     for snr_idx, snr in enumerate(cfg.snr_db):
         sigma = cfg.sigma_for(snr)
@@ -245,14 +242,9 @@ def run_bler(cfg):
             nb = min(cfg.batch, cfg.max_frames - frames)
             payloads, llrs = _gen_frames(cfg, snr_idx, frames, nb, sigma)
             u_hat = decode(llrs)
-            decoded = u_hat[:, info][:, :nbits]
-            bit_err = (decoded != payloads).sum(axis=1)
+            bit_err = (u_hat[:, info] != payloads).sum(axis=1)
             frame_err = bit_err > 0
-            cum = ferr + np.cumsum(frame_err)
-            if cum[-1] >= cfg.min_errors:
-                keep = int(np.argmax(cum >= cfg.min_errors)) + 1
-            else:
-                keep = nb
+            keep = min(int(np.searchsorted(ferr + np.cumsum(frame_err), cfg.min_errors)) + 1, nb)
             ferr += int(frame_err[:keep].sum())
             berr += int(bit_err[:keep].sum())
             frames += keep
@@ -285,8 +277,7 @@ def load_sim_config(path):
             names = [f.name for f in fields(CrcSpec)]
             raise ValueError(f"a CRC spec object has the fields {names}, of which width and "
                              f"polynomial are required; got {sorted(crc)}") from None
-    known = {f for f in SimConfig.__dataclass_fields__} - {"code", "crc"}
-    unknown = set(raw) - known
+    unknown = set(raw) - SimConfig.__dataclass_fields__.keys()
     if unknown:
         raise ValueError(f"unknown config fields: {sorted(unknown)}")
     return SimConfig(code=code, crc=crc, **raw)

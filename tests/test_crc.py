@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fastpolar.crc import (CRC8, CRC16, CrcSpec, _affine_map, _crc_batch, crc_attach,
-                           crc_check_batch)
+                           crc_by_name, crc_check_batch)
 from helpers import crc_bits
 
 
@@ -18,6 +18,14 @@ def test_round_trip(spec):
     for length in (0, 1, 5, 64, 200):
         payload = rng.integers(0, 2, length, dtype=np.uint8)
         assert crc_check_batch(crc_attach(payload, spec), spec)
+
+
+def test_crc_by_name_refuses_other_names():
+    # an unhashable name used to raise TypeError: unhashable type
+    for bad in (["crc8"], {"a": 1}, 8, None, "crc32", "CRC8"):
+        with pytest.raises(ValueError, match=r"unknown CRC .*; choose one of \['none', 'crc8'"):
+            crc_by_name(bad)
+    assert (crc_by_name("none"), crc_by_name("crc8"), crc_by_name("crc16")) == (None, CRC8, CRC16)
 
 
 def test_attach_rejects_non_bits():

@@ -45,17 +45,24 @@ def test_only_codec_imports_inside_a_function():
 
 
 def test_shared_input_rules_raise_from_one_function():
-    # the bit and integer rules live in crc, which every module can import;
-    # a second function raising either message would be a copy free to drift
-    rules = ("must hold only the bits 0 and 1", "must be an integer, got")
-    raisers = {rule: [] for rule in rules}
+    # the bit and integer rules live in crc, which every module can import,
+    # and each decoder rule next to what it guards; a second function
+    # raising one of these messages would be a copy free to drift
+    homes = {"must hold only the bits 0 and 1": ("crc", "check_bits"),
+             "must be an integer, got": ("crc", "check_integer"),
+             "the exact f-update was removed": ("codec", "check_minsum"),
+             "must be an integer >= 1, got": ("listdec", "check_list_size"),
+             "crc must be None or a CrcSpec": ("listdec", "check_crc"),
+             "decoder must be one of": ("sim", "check_decoder"),
+             "applies only to the list decoders": ("sim", "check_decoder")}
+    raisers = {rule: [] for rule in homes}
     for path in sorted(Path(fastpolar.__file__).parent.glob("*.py")):
         for fn in ast.walk(ast.parse(path.read_text())):
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             texts = [str(c.value) for node in ast.walk(fn) if isinstance(node, ast.Raise)
                      for c in ast.walk(node) if isinstance(c, ast.Constant)]
-            for rule in rules:
+            for rule in homes:
                 if any(rule in text for text in texts):
                     raisers[rule].append((path.stem, fn.name))
-    assert raisers == {rules[0]: [("crc", "check_bits")], rules[1]: [("crc", "check_integer")]}
+    assert raisers == {rule: [home] for rule, home in homes.items()}

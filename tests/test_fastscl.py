@@ -1,3 +1,4 @@
+import functools
 import hashlib
 
 import numpy as np
@@ -371,6 +372,33 @@ def test_benchmark_path_sets_pinned():
              "ff2c2f0b064d066a702a4d6f28c7b0d38fe2bdb484fe9c93f2566aa388cd9b0a")):
         assert uu.shape == (16, 8, code.N) and uu.dtype == np.uint8
         assert hashlib.sha256(uu.tobytes() + pm.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("integer_llrs", [False, True])
+@pytest.mark.parametrize("rung", [label for label, _ in option_sweep()] + ["plain SCL"])
+def test_a_frame_decodes_alone_as_in_its_batch(rung, integer_llrs):
+    # (u, pm) of a frame decoded alone are bitwise its row of every batch it
+    # is in: with one frame and one path left, a Rate-0, Rep or fold penalty
+    # summed pairwise by numpy would round otherwise than the batch's sum
+    code = construct_code(8, 128, 0.7)
+    if rung == "plain SCL":
+        decode = functools.partial(scl_decode_paths_batch, code=code, L=8)
+    else:
+        plan = classify(code, dict(option_sweep())[rung])
+        decode = functools.partial(fast_scl_decode_paths_batch, plan=plan, L=8)
+    rng = np.random.default_rng(26)
+    if integer_llrs:
+        llrs = rng.integers(-2, 3, (16, code.N)).astype(float)
+    else:
+        u = np.zeros((16, code.N), np.uint8)
+        u[:, code.info_indices] = rng.integers(0, 2, (16, code.K))
+        llrs = awgn_bpsk_llrs(encode(u, code), 0.7, rng) * 10.0 ** rng.integers(-2, 3, (16, 1))
+    alone = [decode(frame) for frame in llrs]
+    for B in range(2, 17):
+        u_batch, pm_batch = decode(llrs[:B])
+        for b, (u_alone, pm_alone) in enumerate(alone[:B]):
+            assert np.array_equal(u_batch[b], u_alone[0]), (B, b)
+            assert pm_batch[b].tobytes() == pm_alone[0].tobytes(), (B, b)
 
 
 def test_rgpc_may_violate_frozen_bits_without_error():

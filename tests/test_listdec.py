@@ -301,14 +301,19 @@ def test_fork_matches_two_penalty_reference(seed, B, L):
         assert ps.P == ref.P and ps.pm.tobytes() == ref.pm.tobytes()
 
 
+def sequential_sum(x):
+    """x[0] + x[1] + ... in that order, whatever the shape of each row."""
+    return np.add.accumulate(x)[-1]
+
+
 @given(st.integers(0, 10 ** 6), st.integers(1, 3), st.sampled_from([1, 2, 3, 4, 8]))
 @settings(max_examples=200, deadline=None)
 def test_rep_and_fold_penalties_keep_their_sums(seed, B, L):
-    # a Rep node forks on the per-decision penalty sums, each summed over a
-    # (size, B, P) array: at B = P = 1 numpy sums that pairwise, and other
-    # layouts of the same values can round differently.  A G-Rep fold level
-    # charges the Rate-0 penalty of f(a, b) without forming f.  Both must
-    # leave the metrics bitwise as these reference sums do
+    # a Rep node forks on the per-decision penalty sums, and a G-Rep fold
+    # level charges the Rate-0 penalty of f(a, b) without forming f.  Both
+    # sum row by row at every B and P (numpy's own sum of a single lane,
+    # B = P = 1, is pairwise), so they must leave the metrics bitwise as
+    # these sequential reference sums do
     rng = np.random.default_rng(seed)
     size = 1 << int(rng.integers(1, 8))
     P = int(rng.integers(1, L + 1))
@@ -325,15 +330,15 @@ def test_rep_and_fold_penalties_keep_their_sums(seed, B, L):
     code = make_code([0] * (size - 1) + [1])
     ps, ref = paths(), paths()
     beta, src = listdec._extend_node(ps, alpha, classify(code, PlanOptions(False, False)))
-    src_ref, bits_ref = fork_reference(ref, np.fmax(-alpha, 0.0).sum(axis=0),
-                                       np.fmax(alpha, 0.0).sum(axis=0))
+    src_ref, bits_ref = fork_reference(ref, sequential_sum(np.fmax(-alpha, 0.0)),
+                                       sequential_sum(np.fmax(alpha, 0.0)))
     assert np.array_equal(src, src_ref) and ps.pm.tobytes() == ref.pm.tobytes()
     assert beta.dtype == np.uint8 and np.array_equal(beta, np.broadcast_to(bits_ref, beta.shape))
     plan = classify(code, PlanOptions(True, True))
     ps, ref, a = paths(), paths(), alpha
     beta, anc = listdec._extend_node(ps, alpha, plan)
     while a.shape[0] > 1:
-        ref.penalize(np.fmax(-f_step(a), 0.0).sum(axis=0))
+        ref.penalize(sequential_sum(np.fmax(-f_step(a), 0.0)))
         a = a[a.shape[0] // 2:] + a[:a.shape[0] // 2]
     beta_ref, anc_ref = listdec._extend_node(ref, a, plan.rate_c)
     assert ps.pm.tobytes() == ref.pm.tobytes() and np.array_equal(anc, anc_ref)

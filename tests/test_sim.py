@@ -6,10 +6,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fastpolar.classify import PlanOptions
 from fastpolar.construction import PolarCode, construct_code, save_descriptor
 from fastpolar.crc import CRC8, CRC16, CrcSpec
-from fastpolar.sim import (LIST_DECODERS, SimConfig, _gen_frames, awgn_bpsk_llrs, load_sim_config,
-                           run_bler, wilson_interval)
+from fastpolar.sim import (DECODERS, LIST_DECODERS, SimConfig, _gen_frames, awgn_bpsk_llrs,
+                           batch_decoder, load_sim_config, run_bler, wilson_interval)
 from helpers import gen_frames_per_frame
 
 
@@ -159,6 +160,26 @@ def test_config_validation():
     for snr in (4000.0, 3080.0, -4000.0):
         with pytest.raises(ValueError, match=f"snr_db {snr} gives no finite"):
             SimConfig(code=code, snr_db=(1.0, snr) if snr > 1 else (snr, 1.0))
+
+
+def test_batch_decoder_checks_name_and_list_size():
+    # an unknown name used to raise KeyError, and the SC decoders ignored L
+    code, opts = construct_code(5, 16, 0.5), PlanOptions(True, True)
+    for name in ("foo", None, ["sc"]):
+        with pytest.raises(ValueError, match="decoder must be one of"):
+            batch_decoder(name, code, opts, 1, None)
+    for name in ("sc", "fastssc"):
+        for L in (8, 2):
+            with pytest.raises(ValueError, match=f"list_size applies only.*{name} needs"):
+                batch_decoder(name, code, opts, L, CRC8)
+    for L in (0, 2.5, True):
+        with pytest.raises(ValueError, match="list_size must be an integer >= 1"):
+            batch_decoder("scl", code, opts, L, None)
+    # run_bler attaches a CRC for the SC decoders too, so they take one
+    llrs = np.random.default_rng(8).normal(size=(3, 32)) * 2
+    for name in DECODERS:
+        L = 8 if name in LIST_DECODERS else 1
+        assert batch_decoder(name, code, opts, L, CRC8)(llrs).shape == (3, 32)
 
 
 @pytest.mark.parametrize("field,value", [
