@@ -43,8 +43,8 @@ def polar_transform(u):
     the byte table maps to the transform followed by zeros.
     """
     x = np.asarray(u, dtype=np.uint8)
-    N = x.shape[-1]
-    if N & (N - 1):
+    N = x.shape[-1] if x.ndim else 0  # a 0-d input has no length
+    if N.bit_count() != 1:
         raise ValueError("length must be a power of two")
     packed = _BYTE_TRANSFORM[np.packbits(x, axis=-1, bitorder="little")]
     # levels h >= 8 XOR whole bytes, so they run on the packed array
@@ -53,7 +53,7 @@ def polar_transform(u):
 
 def encode(u, code):
     """Encode message vector u (bits, zeros at frozen indices) into a codeword."""
-    if np.shape(u)[-1] != code.N:
+    if np.shape(u)[-1:] != (code.N,):
         raise ValueError(f"u must have length {code.N}")
     u = check_bits(u, "u")
     if np.any(u[..., code.flags == 0] != 0):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from .crc import check_bits, check_field_types, check_integer
+from .crc import check_bits, check_integer
 
 __all__ = ["PolarCode", "construct_code", "save_descriptor", "load_descriptor"]
 
@@ -108,26 +108,30 @@ def ga_llr_means(n, design_sigma):
 
 @dataclass(frozen=True)
 class PolarCode:
-    """A polar code: block length, information set and design parameters."""
+    """A polar code: its flags and design sigma; n, N = 2^n and K are read off the flags."""
 
-    n: int
-    K: int
-    flags: np.ndarray = field(repr=False)  # length N, 1 = information bit
+    flags: np.ndarray = field(repr=False)  # 1 = information bit
     design_sigma: float = 0.5
 
     def __post_init__(self):
-        check_field_types(self)
-        _channel_mean(self.n, self.design_sigma)  # construct_code's rule for any sigma
         flags = check_bits(self.flags, "flags")
+        if flags.ndim != 1 or flags.size.bit_count() != 1:
+            raise ValueError(f"flags must be a 1-D bit vector whose length is a power of "
+                             f"two, got shape {flags.shape}")
         object.__setattr__(self, "flags", flags)
-        if flags.shape != (self.N,):
-            raise ValueError(f"flags must have length {self.N}")
-        if int(flags.sum()) != self.K:
-            raise ValueError("flags must mark exactly K information bits")
+        _channel_mean(self.n, self.design_sigma)  # construct_code's rule for any sigma
+
+    @property
+    def n(self):
+        return self.N.bit_length() - 1
 
     @property
     def N(self):
-        return _block_length(self.n)
+        return len(self.flags)
+
+    @property
+    def K(self):
+        return int(np.count_nonzero(self.flags))
 
     @property
     def frozen_indices(self):
@@ -165,7 +169,7 @@ def construct_code(n, K, design_sigma=0.5):
         means[near] = [solved[N + i] for i in near.tolist()]
     flags = np.zeros(N, dtype=np.uint8)
     flags[np.argsort(means, kind="stable")[N - K:]] = 1  # ties put the lower index first
-    return PolarCode(n=n, K=K, flags=flags, design_sigma=design_sigma)
+    return PolarCode(flags, design_sigma)
 
 
 def save_descriptor(code, path):
@@ -197,7 +201,6 @@ def load_descriptor(path):
     except MemoryError:
         raise ValueError(f"n = {n} is too large: 2**{n} code bits do not fit in memory") from None
     flags[frozen] = 0
-    K = N - len(frozen)
-    if "K" in desc and check_integer(desc["K"], "K") != K:
+    if "K" in desc and check_integer(desc["K"], "K") != N - len(frozen):
         raise ValueError("descriptor K inconsistent with frozen_indices")
-    return PolarCode(n=n, K=K, flags=flags, design_sigma=desc.get("design_sigma", 0.5))
+    return PolarCode(flags, desc.get("design_sigma", 0.5))

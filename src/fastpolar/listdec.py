@@ -37,10 +37,12 @@ class PathSet:
 
     def __init__(self, B, L):
         self.L = L
-        self.P = 1
         self.pm = np.zeros((B, 1))
         self.rows = np.arange(B)[:, None]
-        self.bases = np.arange(L + 1)[:, None, None] * self.rows  # [P]: each frame's b * P
+
+    @property
+    def P(self):
+        return self.pm.shape[1]
 
     def realign(self, arr, anc):
         """Gather a (..., B, P_then) array into a C-ordered (..., B, P_now) one.
@@ -62,12 +64,12 @@ class PathSet:
         each surviving row, its pre-fork parent row (a flat index into the
         B·P paths) and the decided bit (int64); ``src`` is the fork's ancestry.
         """
-        cand = (self.pm[:, None] + pen).reshape(len(self.pm), -1)
+        P = self.P
+        cand = (self.pm[:, None] + pen).reshape(len(self.pm), 2 * P)
         order = cand.argsort(axis=1, kind="stable")[:, :self.L]
-        bits, src = np.divmod(order, self.P)
-        src += self.bases[self.P]
+        bits, src = np.divmod(order, P)
+        src += self.rows * P
         self.pm = cand[self.rows, order]
-        self.P = order.shape[1]
         return src, bits
 
     def settled(self):

@@ -51,13 +51,12 @@ def fork_reference(ps, pen0, pen1):
     """``PathSet.fork`` from two (B, P) penalty arrays, one per decision:
     the candidates concatenated, pruned by a stable argsort.  Returns
     (src, bits) like the library's fork and updates ``ps`` the same way."""
+    P = ps.P
     cand = np.concatenate([ps.pm + pen0, ps.pm + pen1], axis=1)
-    newP = min(2 * ps.P, ps.L)
-    order = np.argsort(cand, axis=1, kind="stable")[:, :newP]
-    src = order % ps.P + ps.rows * ps.P
-    bits = (order >= ps.P).astype(np.uint8)
+    order = np.argsort(cand, axis=1, kind="stable")[:, :min(2 * P, ps.L)]
+    src = order % P + ps.rows * P
+    bits = (order >= P).astype(np.uint8)
     ps.pm = cand[ps.rows, order]
-    ps.P = newP
     return src, bits
 
 
@@ -77,7 +76,7 @@ def ga_llr_means_reference(n, design_sigma):
 def make_code(flags):
     """The PolarCode with these 0/1 flags (design sigma 0.5)."""
     flags = np.asarray(flags, dtype=np.uint8)
-    return PolarCode(int(np.log2(flags.size)), int(flags.sum()), flags, 0.5)
+    return PolarCode(flags, 0.5)
 
 
 def relaxed_code(code, plan):
@@ -91,7 +90,7 @@ def relaxed_code(code, plan):
     for node in plan.walk():
         if node.kind == "rgpc":
             flags[[node.offset + af for af in node.af_positions]] = 1
-    return PolarCode(code.n, int(flags.sum()), flags, code.design_sigma)
+    return PolarCode(flags, code.design_sigma)
 
 
 def plan_leaves(plan):

@@ -291,6 +291,21 @@ def test_out_of_range_options_are_usage_errors(code_file, capsys, argv):
     assert "usage:" in err and argv[-2] in err
 
 
+def test_huge_list_size_decodes(tmp_path, monkeypatch, capsys):
+    # --list 100000000000 on an N = 8, K = 4 code keeps all 16 paths, as
+    # --list 16 does; it used to end in a MemoryError traceback
+    path = tmp_path / "code.json"
+    save_descriptor(construct_code(3, 4, 0.5), path)
+    llrs = " ".join(repr(float(v)) for v in np.random.default_rng(3).normal(size=8) * 2)
+    out = {}
+    for algo in ("scl", "ssclspc"):
+        for L in ("16", "100000000000"):
+            feed(monkeypatch, llrs)
+            assert main(["decode", "--code", str(path), "--algo", algo, "--list", L]) is None
+            out[algo, L] = capsys.readouterr().out
+        assert out[algo, "100000000000"] == out[algo, "16"] and len(out[algo, "16"].split()) == 8
+
+
 def test_latency_table_and_csv(code_file, capsys):
     main(["latency", "--code", str(code_file)])
     text = capsys.readouterr().out

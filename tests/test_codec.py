@@ -21,12 +21,12 @@ def test_encode_all_zero():
 
 
 def test_encode_kernel_row():
-    code = PolarCode(1, 1, np.array([0, 1], np.uint8), 0.5)
+    code = PolarCode(np.array([0, 1], np.uint8), 0.5)
     assert encode(np.array([0, 1], np.uint8), code).tolist() == [1, 1]
 
 
 def test_encode_all_ones_row():
-    code = PolarCode(2, 1, np.array([0, 0, 0, 1], np.uint8), 0.5)
+    code = PolarCode(np.array([0, 0, 0, 1], np.uint8), 0.5)
     assert encode(np.array([0, 0, 0, 1], np.uint8), code).tolist() == [1, 1, 1, 1]
 
 
@@ -39,11 +39,13 @@ def test_encode_rejects_nonzero_frozen():
 
 
 def test_wrong_lengths_rejected():
-    with pytest.raises(ValueError, match="u must have length 16"):
-        encode(np.zeros(8, np.uint8), construct_code(4, 8, 0.5))
-    for length in (3, 6, 12):
+    # a 0-d input has no length: it used to raise an IndexError
+    for u in (np.zeros(8, np.uint8), 5, np.uint8(1)):
+        with pytest.raises(ValueError, match="u must have length 16"):
+            encode(u, construct_code(4, 8, 0.5))
+    for u in (np.zeros((2, 3), np.uint8), np.zeros(6), np.zeros((1, 12)), 1, np.zeros((2, 0))):
         with pytest.raises(ValueError, match="length must be a power of two"):
-            polar_transform(np.zeros((2, length), np.uint8))
+            polar_transform(u)
 
 
 @pytest.mark.parametrize("bad", [2, -1, 256, 0.5])
@@ -167,7 +169,7 @@ def test_sc_all_frozen_decodes_zero():
 
 
 def test_sc_hand_trace_two_bits():
-    code = PolarCode(1, 2, np.array([1, 1], np.uint8), 0.5)
+    code = PolarCode(np.array([1, 1], np.uint8), 0.5)
     u_hat, _ = sc_decode(np.array([-1.0, 3.0]), code)
     assert u_hat.tolist() == [1, 0]
 
@@ -208,7 +210,7 @@ def test_sc_equals_descent_oracle(n, seed):
     # independent tree descent
     rng = np.random.default_rng(seed)
     flags = rng.integers(0, 2, 1 << n, dtype=np.uint8)
-    code = PolarCode(n, int(flags.sum()), flags, 0.5)
+    code = PolarCode(flags, 0.5)
     llrs = rng.normal(size=(20, code.N)) * 2
     u_hat, x_hat = sc_decode_batch(llrs, code)
     u_ref, x_ref = sc_descent_batch(llrs, code)
@@ -291,6 +293,20 @@ def test_batch_entry_points_keep_frames_first_layout(name):
     for out in ref:
         assert out.shape[0] == 5 and out.flags.c_contiguous
     assert ref[0].shape == ((5, 4, 16) if name.endswith("paths_batch") else (5, 16))
+
+
+@pytest.mark.parametrize("name", ["sc_decode_batch", "fast_ssc_decode_batch", "scl_decode_batch",
+                                  "scl_decode_paths_batch", "fast_scl_decode_batch",
+                                  "fast_scl_decode_paths_batch"])
+def test_batch_entry_points_decode_empty_batches(name):
+    # a (0, N) batch gives (0, N) decisions, or (0, P, N) paths and their
+    # metrics, with P as in any other batch; the list decoders used to fail
+    # reshaping zero rows, with a CRC or without
+    decode = _entry_points()[1][name]
+    for kw in [{}, {"crc": CRC8}] if name.endswith("scl_decode_batch") else [{}]:
+        out, one = decode(np.empty((0, 16)), **kw), decode(np.ones((1, 16)), **kw)
+        assert [o.shape for o in out] == [(0,) + o.shape[1:] for o in one]
+        assert [o.dtype for o in out] == [o.dtype for o in one]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -155,19 +156,25 @@ def test_descriptor_rejects_non_integers(tmp_path, field, value):
         load_descriptor(path)
 
 
-@pytest.mark.parametrize("n,K,flags,message", [
-    (2, 2, [0, 0, 0, 2], "only the bits 0 and 1"),  # K 2, yet no information position
-    (2, 2, [0, 0, 257, 1], "only the bits 0 and 1"),  # 257 would wrap to 1
-    (2, 1, [0, 0, 0, -1], "only the bits 0 and 1"),
-    (2.0, 2, [0, 0, 1, 1], "n must be an integer"),
-    (True, 1, [0, 1], "n must be an integer"),
-    (2, 2.0, [0, 0, 1, 1], "K must be an integer"),
-    (2, True, [0, 0, 0, 1], "K must be an integer"),
-    (-1, 0, [], "n must be >= 0, got -1"),  # not Python's "negative shift count"
+@pytest.mark.parametrize("flags,message", [
+    ([0, 0, 0, 2], "only the bits 0 and 1"),  # a 2 would count toward K
+    ([0, 0, 257, 1], "only the bits 0 and 1"),  # 257 would wrap to 1
+    ([0, 0, 0, -1], "only the bits 0 and 1"),
+    ([0, 1, 1], "length is a power of two, got shape \\(3,\\)"),
+    ([], "length is a power of two, got shape \\(0,\\)"),
+    ([[0, 1], [1, 1]], "1-D bit vector whose length is a power of two, got shape \\(2, 2\\)"),
 ])
-def test_polar_code_rejects_bad_fields(n, K, flags, message):
+def test_polar_code_rejects_bad_fields(flags, message):
     with pytest.raises(ValueError, match=message):
-        PolarCode(n, K, np.array(flags), 0.5)
+        PolarCode(np.array(flags), 0.5)
+
+
+def test_polar_code_derives_n_and_k_from_its_flags():
+    code = PolarCode(np.array([0, 1, 0, 0, 1, 1, 0, 1]))
+    assert (code.n, code.N, code.K, code.design_sigma) == (3, 8, 4, 0.5)
+    assert [f.name for f in dataclasses.fields(code)] == ["flags", "design_sigma"]
+    assert repr(code) == "PolarCode(design_sigma=0.5)"
+    assert type(code.n) is type(code.K) is int
 
 
 def test_invalid_parameters():
@@ -179,10 +186,6 @@ def test_invalid_parameters():
         construct_code(3, 4, 0.0)
     with pytest.raises(ValueError, match="n must be >= 0, got -1"):
         construct_code(-1, 0, 0.5)
-    with pytest.raises(ValueError):
-        PolarCode(3, 4, np.zeros(8, dtype=np.uint8), 0.5)
-    with pytest.raises(ValueError, match="flags must have length 8"):
-        PolarCode(3, 4, np.ones(4, dtype=np.uint8), 0.5)
 
 
 @pytest.mark.parametrize("sigma", SWEEP_SIGMAS)

@@ -448,6 +448,21 @@ def test_invalid_list_size():
         fast_scl_decode_paths_batch(np.zeros((1, 8)), plan, 0)
 
 
+def test_huge_list_size_keeps_every_path():
+    # L bounds the list and sizes no array: at L = 10**12 a K = 4 code keeps
+    # its 16 paths as at L = 16, where an (L + 1)-row offset table used to
+    # raise MemoryError
+    code = construct_code(3, 4, 0.5)
+    plan = classify(code, GEN)
+    llrs = np.random.default_rng(8).normal(size=8) * 2
+    for decode in (lambda L: scl_decode(llrs, code, L),
+                   lambda L: fast_scl_decode(llrs, code, plan, L),
+                   lambda L: fast_scl_decode_paths_batch(llrs, plan, L)):
+        got, ref = decode(10 ** 12), decode(16)
+        assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+    assert fast_scl_decode_paths_batch(llrs, plan, 10 ** 12)[0].shape == (1, 16, 8)
+
+
 def test_plan_must_match_code_length():
     # an N = 64 plan with an N = 128 code used to return 64-bit u_hat, and
     # with CRC8 to fail with an IndexError

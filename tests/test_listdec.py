@@ -212,7 +212,7 @@ def test_realign_reuses_composed_lineage(seed, B, L):
                 events.append(rng.integers(0, ps.P, (B, new_p)))
                 # an ancestry holds flat indices into the (B·P) path axis
                 flat = events[-1] + ps.rows * ps.P
-                ps.P = new_p
+                ps.pm = np.zeros((B, new_p))
                 anc = ps.realign(anc, flat)
                 # a Rate-1 node reads each column through its ancestry so far
                 check(arr, anc, ev)
@@ -227,10 +227,19 @@ def test_realign_reuses_composed_lineage(seed, B, L):
     frame(int(rng.integers(1, 7)))
 
 
+def test_path_set_holds_only_its_metrics():
+    # the path count is the metrics' width, and nothing is sized by L
+    ps = PathSet(3, 10 ** 12)
+    assert sorted(vars(ps)) == ["L", "pm", "rows"]
+    src, bits = ps.fork(np.zeros((3, 2, 1)))
+    assert ps.P == 2 and ps.pm.shape == (3, 2)
+    assert src.tolist() == [[0, 0], [1, 1], [2, 2]] and bits.tolist() == [[0, 1]] * 3
+
+
 def test_noop_predicate_examples():
     def paths(*pm):
         ps = PathSet(1, len(pm))
-        ps.P, ps.pm = len(pm), np.array([pm])
+        ps.pm = np.array([pm])
         return ps
 
     assert not PathSet(1, 3).settled()  # one path, list not full
@@ -262,8 +271,8 @@ def test_noop_predicate_agrees_with_fork(seed, B, L, full):
     # The identity ancestry is each row's own flat index into the B·P paths
     rng = np.random.default_rng(seed)
     ps = PathSet(B, L)
-    ps.P = L if full else int(rng.integers(1, L + 1))
-    ps.pm = np.cumsum(rng.integers(0, 3, (B, ps.P)), axis=1).astype(float)
+    P = L if full else int(rng.integers(1, L + 1))
+    ps.pm = np.cumsum(rng.integers(0, 3, (B, P)), axis=1).astype(float)
     if rng.random() < 0.2:
         ps.pm = rng.permuted(ps.pm, axis=1)
     a = rng.integers(-6, 7, (B, ps.P, int(rng.integers(1, 6)))).astype(float)
@@ -288,7 +297,7 @@ def test_fork_matches_two_penalty_reference(seed, B, L):
     # bitwise the same metrics, as two penalty arrays concatenated
     rng = np.random.default_rng(seed)
     ps, ref = PathSet(B, L), PathSet(B, L)
-    ps.P = ref.P = int(rng.integers(1, L + 1))
+    ps.pm = ref.pm = np.zeros((B, int(rng.integers(1, L + 1))))
     for _ in range(int(rng.integers(1, 6))):
         pm = rng.integers(0, 4, (B, ps.P)).astype(float)
         pm[rng.random(pm.shape) < 0.2] = -0.0
@@ -324,7 +333,7 @@ def test_rep_and_fold_penalties_keep_their_sums(seed, B, L):
 
     def paths():
         ps = PathSet(B, L)
-        ps.P, ps.pm = P, pm.copy()
+        ps.pm = pm.copy()
         return ps
 
     code = make_code([0] * (size - 1) + [1])

@@ -297,7 +297,7 @@ def test_batched_frames_match_per_frame_reference(n, crc, start, count, snr_idx,
     K = data.draw(st.integers(crc_w + 1, N))
     flags = np.zeros(N, dtype=np.uint8)
     flags[np.random.default_rng(seed).choice(N, K, replace=False)] = 1
-    cfg = SimConfig(code=PolarCode(n, K, flags), crc=crc, seed=seed)
+    cfg = SimConfig(code=PolarCode(flags), crc=crc, seed=seed)
     sigma = cfg.sigma_for(1.5)
     payloads, llrs = _gen_frames(cfg, snr_idx, start, count, sigma)
     ref_payloads, ref_llrs = gen_frames_per_frame(cfg, snr_idx, start, count, sigma)
@@ -340,7 +340,7 @@ def test_payload_bits_from_raw_words_match_integers(n):
 
 def test_batched_frames_without_payload_bits():
     # K = 0 under Es/N0: no payload words are drawn, only the noise
-    cfg = SimConfig(code=PolarCode(4, 0, np.zeros(16, dtype=np.uint8)), snr_unit="esn0", seed=6)
+    cfg = SimConfig(code=PolarCode(np.zeros(16, dtype=np.uint8)), snr_unit="esn0", seed=6)
     sigma = cfg.sigma_for(1.0)
     payloads, llrs = _gen_frames(cfg, 2, 3, 5, sigma)
     ref_payloads, ref_llrs = gen_frames_per_frame(cfg, 2, 3, 5, sigma)
