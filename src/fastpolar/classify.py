@@ -145,22 +145,18 @@ def plan_stats(plan):
     return dict(Counter(node.kind for node in plan.walk()))
 
 
+@lru_cache(maxsize=32)
 def leaves_only_plan(code):
     """The unpruned decode tree: splits down to size-1 Rate-0/Rate-1 leaves.
 
     Plain SC and SCL are the plan walkers run on this plan.  Plans are
-    memoised per frozen pattern, so repeated decodes pay the build once.
+    memoised per code value, so repeated decodes pay the build once.
     """
-    return _leaves_only(code.flags.tobytes())
-
-
-@lru_cache(maxsize=32)
-def _leaves_only(flags):
     def build(stage, offset):
         if stage == 0:
-            return DecodePlan("rate1" if flags[offset] else "rate0", 0, offset)
+            return DecodePlan("rate1" if code.flags[offset] else "rate0", 0, offset)
         half = 1 << (stage - 1)
         return DecodePlan("split", stage, offset, left=build(stage - 1, offset),
                           right=build(stage - 1, offset + half))
 
-    return build(len(flags).bit_length() - 1, 0)
+    return build(code.n, 0)

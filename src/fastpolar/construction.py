@@ -106,7 +106,7 @@ def ga_llr_means(n, design_sigma):
     return means
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolarCode:
     """A polar code: its flags and design sigma; n, N = 2^n and K are read off the flags."""
 
@@ -114,12 +114,20 @@ class PolarCode:
     design_sigma: float = 0.5
 
     def __post_init__(self):
-        flags = check_bits(self.flags, "flags")
+        flags = check_bits(self.flags, "flags").copy()
         if flags.ndim != 1 or flags.size.bit_count() != 1:
             raise ValueError(f"flags must be a 1-D bit vector whose length is a power of "
                              f"two, got shape {flags.shape}")
+        flags.setflags(write=False)  # a copy, read-only: no one can move K under the code
         object.__setattr__(self, "flags", flags)
         _channel_mean(self.n, self.design_sigma)  # construct_code's rule for any sigma
+
+    def __eq__(self, other):
+        return isinstance(other, PolarCode) and (self.flags.tobytes(), self.design_sigma) == (
+            other.flags.tobytes(), other.design_sigma)
+
+    def __hash__(self):
+        return hash((self.flags.tobytes(), self.design_sigma))
 
     @property
     def n(self):

@@ -4,7 +4,7 @@ A cached GF(2) matrix form of the register map attaches and checks CRCs
 over frame batches (a CRC with a fixed init value is affine in the message
 bits); the bitwise register reference is ``crc_bits`` in the tests.
 The module imports nothing else of the package, so it also owns the input
-rules that other modules share: field types, integers and bit vectors.
+rules that other modules share: field types, integers, bits and CRC fit.
 """
 
 import numbers
@@ -74,6 +74,11 @@ def crc_by_name(name):
         raise ValueError(f"unknown CRC {name!r}; choose one of {list(CRC_NAMES)}") from None
 
 
+def check_fits(spec, length):
+    if spec.width > length:
+        raise ValueError(f"a {spec.width}-bit CRC does not fit in {length} bits")
+
+
 def crc_attach(payload, spec):
     """Append the CRC to every bit vector along the last axis of ``payload``."""
     payload = check_bits(payload, "payload")
@@ -111,7 +116,6 @@ def crc_check_batch(bits, spec):
     """Whether each bit vector along the last axis of ``bits`` ends in its CRC."""
     bits = check_bits(bits, "bits")
     n = bits.shape[-1]
-    if n < spec.width:
-        raise ValueError("bit vectors shorter than the CRC width")
+    check_fits(spec, n)
     expected = _crc_batch(bits[..., :n - spec.width], spec)
     return np.all(expected == bits[..., n - spec.width:], axis=-1)

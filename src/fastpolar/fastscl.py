@@ -1,7 +1,7 @@
 """Fast SCL decoding: the SCL walker of ``listdec`` over a pruned decode plan."""
 
 from .codec import _llr_batch, _one_frame
-from .listdec import _decode_paths, select_output
+from .listdec import _decode_paths, check_crc, select_output
 
 __all__ = ["fast_scl_decode", "fast_scl_decode_batch", "fast_scl_decode_paths_batch"]
 
@@ -13,6 +13,7 @@ def fast_scl_decode_paths_batch(channel_llrs, plan, L, minsum=True):
 
 def fast_scl_decode_batch(channel_llrs, code, plan, L, crc=None, minsum=True):
     """Batched fast SCL decode; returns (u_hat (B, N), pm (B,))."""
+    check_crc(crc, code)
     if plan.size != code.N:
         raise ValueError(f"a plan of size {plan.size} cannot decode a code of length {code.N}")
     u, pm = fast_scl_decode_paths_batch(channel_llrs, plan, L, minsum)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .classify import leaves_only_plan
 from .codec import _llr_batch, _one_frame, combine, f_step, g_step, polar_transform
-from .crc import CRC_NAMES, CrcSpec, crc_check_batch
+from .crc import CRC_NAMES, CrcSpec, check_fits, crc_check_batch
 
 __all__ = ["scl_decode", "scl_decode_batch", "scl_decode_paths_batch", "select_output"]
 
@@ -199,10 +199,12 @@ def check_list_size(L, name="list size L"):
         raise ValueError(f"{name} must be an integer >= 1, got {L!r}")
 
 
-def check_crc(crc):
+def check_crc(crc, code):
     if crc is not None and not isinstance(crc, CrcSpec):
         raise ValueError(f"crc must be None or a CrcSpec (in a config file: one of "
                          f"{list(CRC_NAMES)} or a spec object), got {crc!r}")
+    if crc is not None:
+        check_fits(crc, code.K)
 
 
 def _decode_paths(alpha, plan, L):
@@ -226,7 +228,7 @@ def select_output(u, pm, code, crc=None):
     ``u``/``pm`` must be sorted by metric.  With a CRC, the best path whose
     unfrozen payload passes wins; if none passes, fall back to lowest metric.
     """
-    check_crc(crc)
+    check_crc(crc, code)
     B = u.shape[0]
     best = np.zeros(B, dtype=np.int64)
     if crc is not None:  # a row with no passing path has argmax 0, the lowest metric
@@ -236,6 +238,7 @@ def select_output(u, pm, code, crc=None):
 
 def scl_decode_batch(channel_llrs, code, L, crc=None, minsum=True):
     """Batched SCL decode; returns (u_hat (B, N), pm (B,))."""
+    check_crc(crc, code)
     u, pm = scl_decode_paths_batch(channel_llrs, code, L, minsum)
     return select_output(u, pm, code, crc)
 

@@ -109,12 +109,10 @@ class SimConfig:
         self.snr_db = snr
         if self.snr_unit not in ("ebn0", "esn0"):
             raise ValueError("snr_unit must be 'ebn0' or 'esn0'")
-        check_crc(self.crc)
-        if self.crc and self.payload_bits <= 0:
-            raise ValueError("CRC wider than the unfrozen budget")
+        check_crc(self.crc, self.code)
         if self.snr_unit == "ebn0" and not self.payload_bits:
-            raise ValueError("snr_unit 'ebn0' needs payload bits, and this code has none "
-                             "(K = 0); give the SNR as Es/N0 with snr_unit 'esn0'")
+            raise ValueError("snr_unit 'ebn0' needs payload bits, and this code and CRC leave "
+                             "none; give the SNR as Es/N0 with snr_unit 'esn0'")
         for s in snr:  # LLRs are about 2/sigma**2; 2x for the noise
             try:
                 sigma = self.sigma_for(s)

@@ -207,7 +207,7 @@ def test_leaves_only_plan():
     assert all(leaf.size == 1 for leaf in leaves)
     assert [leaf.kind == "rate1" for leaf in leaves] == list(code.flags == 1)
     assert plan_stats(plan)["split"] == code.N - 1
-    # memoised per frozen pattern, not per code object
+    # memoised per code value, not per code object
     assert leaves_only_plan(construct_code(6, 20, 0.5)) is plan
 
 

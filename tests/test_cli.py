@@ -11,7 +11,7 @@ from fastpolar.construction import construct_code, load_descriptor, save_descrip
 from fastpolar.crc import CRC8, crc_attach, crc_by_name
 from fastpolar.fastsc import fast_ssc_decode
 from fastpolar.fastscl import fast_scl_decode
-from fastpolar.listdec import scl_decode
+from fastpolar.listdec import PathSet, scl_decode
 
 
 @pytest.fixture
@@ -141,13 +141,13 @@ def _bad_inputs(tmp_path):
 
     return {
         "crc-wider-than-K": (["decode", *k8, "--algo", "scl", "--crc", "crc16"], llrs,
-                             "shorter than the CRC width"),
+                             "a 16-bit CRC does not fit in 8 bits"),
         "nan-llrs": (["decode", *k8], "nan " + " ".join(["1.5"] * 15), "not finite"),
         "short-frame": (["decode", *k8], "1 2 3", "expected 16 LLRs per frame, got 3"),
         "repeated-frozen-index": (["decode", "--code", str(tmp_path / "dup.json")], llrs,
                                   "frozen_indices repeats"),
         "sim-crc-wider-than-K": (simulate("sim", crc="crc16"), "",
-                                 "CRC wider than the unfrozen budget"),
+                                 "a 16-bit CRC does not fit in 8 bits"),
         "encode-frozen-one": (["encode", *k8], " ".join(map(str, frozen)),
                               "nonzero value at a frozen index"),
         "missing-code-file": (["classify", "--code", str(tmp_path / "missing.json")], "",
@@ -289,6 +289,20 @@ def test_out_of_range_options_are_usage_errors(code_file, capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and argv[-2] in err
+
+
+@pytest.mark.parametrize("algo", ["scl", "ssclspc"])
+def test_crc_wider_than_k_is_refused_before_decoding(tmp_path, monkeypatch, capsys, algo):
+    def fork(self, pen):
+        raise AssertionError("forked before the CRC was checked")
+
+    monkeypatch.setattr(PathSet, "fork", fork)
+    argv, stdin, message = _bad_inputs(tmp_path)["crc-wider-than-K"]
+    argv[argv.index("scl")] = algo
+    feed(monkeypatch, stdin)
+    with pytest.raises(SystemExit):
+        main(argv)
+    assert message in capsys.readouterr().err
 
 
 def test_huge_list_size_decodes(tmp_path, monkeypatch, capsys):

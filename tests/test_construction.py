@@ -177,6 +177,19 @@ def test_polar_code_derives_n_and_k_from_its_flags():
     assert type(code.n) is type(code.K) is int
 
 
+def test_polar_code_is_a_value():
+    code = construct_code(3, 4)
+    assert code == construct_code(3, 4) and hash(code) == hash(construct_code(3, 4))
+    assert code != construct_code(3, 4, 0.7) and code != construct_code(3, 5)
+    assert code != code.flags and len({code, construct_code(3, 4)}) == 1
+    with pytest.raises(ValueError, match="read-only"):
+        code.flags[0] = 1
+    flags = np.array([0, 1, 0, 0, 1, 1, 0, 1], np.uint8)
+    mine = PolarCode(flags)
+    flags[0] = 1  # the caller's array is not the code's
+    assert mine.K == 4 and mine == PolarCode(np.array([0, 1, 0, 0, 1, 1, 0, 1]))
+
+
 def test_invalid_parameters():
     with pytest.raises(ValueError):
         construct_code(3, 9, 0.5)

@@ -45,7 +45,7 @@ def test_only_codec_imports_inside_a_function():
 
 
 def test_shared_input_rules_raise_from_one_function():
-    # the bit and integer rules live in crc, which every module can import,
+    # the bit, integer and CRC-fit rules live in crc, which every module can import,
     # and each decoder rule next to what it guards; a second function
     # raising one of these messages would be a copy free to drift
     homes = {"must hold only the bits 0 and 1": ("crc", "check_bits"),
@@ -53,6 +53,7 @@ def test_shared_input_rules_raise_from_one_function():
              "the exact f-update was removed": ("codec", "check_minsum"),
              "must be an integer >= 1, got": ("listdec", "check_list_size"),
              "crc must be None or a CrcSpec": ("listdec", "check_crc"),
+             "CRC does not fit in": ("crc", "check_fits"),
              "decoder must be one of": ("sim", "check_decoder"),
              "applies only to the list decoders": ("sim", "check_decoder")}
     raisers = {rule: [] for rule in homes}

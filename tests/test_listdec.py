@@ -7,7 +7,8 @@ from fastpolar import listdec
 from fastpolar.classify import PlanOptions, classify
 from fastpolar.codec import f_step, polar_transform
 from fastpolar.construction import construct_code
-from fastpolar.crc import CRC8, crc_attach
+from fastpolar.crc import CRC8, CRC16, crc_attach
+from fastpolar.fastscl import fast_scl_decode, fast_scl_decode_batch
 from fastpolar.listdec import (PathSet, scl_decode, scl_decode_batch, scl_decode_paths_batch,
                                select_output)
 from helpers import (fork_reference, make_code, path_metric_of, sc_descent_batch,
@@ -168,6 +169,36 @@ def test_single_frame_wrapper():
     u1, pm1 = scl_decode(llrs, code, 4)
     ub, pmb = scl_decode_batch(llrs[None], code, 4)
     assert np.array_equal(u1, ub[0]) and pm1 == pytest.approx(float(pmb[0]))
+
+
+@pytest.mark.parametrize("crc,message", [(CRC16, "a 16-bit CRC does not fit in 8 bits"),
+                                         ("crc8", "crc must be None or a CrcSpec")])
+@pytest.mark.parametrize("decode", ["scl", "scl_batch", "ssclspc", "ssclspc_batch"])
+def test_doomed_crc_is_refused_before_any_fork(monkeypatch, decode, crc, message):
+    # the CRC rules run first: a decode that could only end in their error forks no path
+    def fork(self, pen):
+        raise AssertionError("forked before the CRC was checked")
+
+    monkeypatch.setattr(PathSet, "fork", fork)
+    code = construct_code(4, 8, 0.5)
+    plan = classify(code, PlanOptions(enable_grep=True, enable_gpc=True))
+    llrs = np.random.default_rng(4).normal(size=(3, code.N))
+    calls = {"scl": lambda: scl_decode(llrs[0], code, 4, crc),
+             "scl_batch": lambda: scl_decode_batch(llrs, code, 4, crc),
+             "ssclspc": lambda: fast_scl_decode(llrs[0], code, plan, 4, crc),
+             "ssclspc_batch": lambda: fast_scl_decode_batch(llrs, code, plan, 4, crc)}
+    with pytest.raises(ValueError, match=message):
+        calls[decode]()
+
+
+def test_crc_as_wide_as_k_decodes():
+    # a CRC filling every information bit still fits; the all-zero frame
+    # passes CRC8 (init 0) with an empty payload
+    code = construct_code(4, 8, 0.5)
+    llrs = np.full((2, code.N), 2.0)
+    for u, pm in (scl_decode_batch(llrs, code, 4, CRC8),
+                  fast_scl_decode_batch(llrs, code, classify(code), 4, CRC8)):
+        assert u.shape == (2, code.N) and not u.any()
 
 
 @given(st.integers(0, 6), st.integers(0, 10 ** 6), st.sampled_from([1, 2, 4, 8]))

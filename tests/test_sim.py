@@ -203,6 +203,21 @@ def test_config_accepts_only_ladder_node_options():
     SimConfig(code=code, enable_grep=True, enable_gpc=True, max_af=3)
 
 
+def test_crc_as_wide_as_k_needs_esn0():
+    # a CRC may fill every information bit (the one fit rule, width <= K),
+    # which leaves no payload, so the SNR must be Es/N0
+    code = construct_code(4, 8, 0.5)
+    with pytest.raises(ValueError, match="'ebn0' needs payload bits.*'esn0'"):
+        SimConfig(code=code, crc=CRC8)
+    with pytest.raises(ValueError, match="a 16-bit CRC does not fit in 8 bits"):
+        SimConfig(code=code, crc=CRC16, snr_unit="esn0")
+    cfg = SimConfig(code=code, decoder="scl", list_size=4, crc=CRC8, snr_unit="esn0",
+                    max_frames=8, batch=4)
+    assert cfg.payload_bits == 0 and run_bler(cfg).points[0].frame_errors == 0
+    assert cfg == SimConfig(code=construct_code(4, 8, 0.5), decoder="scl", list_size=4,
+                            crc=CRC8, snr_unit="esn0", max_frames=8, batch=4)
+
+
 def test_ebn0_needs_payload_bits():
     code = construct_code(4, 0, 0.5)
     with pytest.raises(ValueError, match="'ebn0' needs payload bits.*'esn0'"):
