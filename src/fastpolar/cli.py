@@ -14,9 +14,8 @@ import numpy as np
 from .classify import classify, option_sweep, plan_stats
 from .codec import encode
 from .construction import construct_code, load_descriptor, save_descriptor
-from .crc import CRC_NAMES, crc_by_name
+from .crc import CRC_NAMES, check_integer, crc_by_name
 from .latency import latency_table
-from .listdec import check_list_size
 from .sim import DECODERS, LIST_DECODERS, batch_decoder, load_sim_config, run_bler
 
 # --nodes names a rung of the node-set ladder, as the latency columns do
@@ -45,7 +44,7 @@ def cmd_encode(args):
 
 def cmd_decode(args):
     if args.list is not None:
-        check_list_size(args.list, "--list")
+        check_integer(args.list, "--list", 1)
     if args.algo not in LIST_DECODERS and (args.list or args.crc != "none"):
         raise ValueError(f"--list and --crc apply only with --algo "
                          f"{' or '.join(sorted(LIST_DECODERS))}")

@@ -150,20 +150,13 @@ class PolarCode:
         return np.flatnonzero(self.flags == 1)
 
 
-def _block_length(n):
-    if n < 0:  # before the shift, whose own error would not name n
-        raise ValueError(f"n must be >= 0, got {n}")
-    return 1 << n
-
-
 def construct_code(n, K, design_sigma=0.5):
     """Build a PolarCode freezing the 2^n - K least reliable bit-channels.
 
     Reliability is the GA mean LLR; ties freeze the lower index.
     """
-    N = _block_length(check_integer(n, "n"))
-    if not 0 <= check_integer(K, "K") <= N:
-        raise ValueError(f"K must be in [0, {N}], got {K}")
+    N = 1 << check_integer(n, "n", 0)  # checked before the shift, whose error names no n
+    check_integer(K, "K", 0, N + 1)
     means = ga_llr_means(n, design_sigma)
     if 0 < K < N:
         lo, hi = np.sort(means)[N - K - 1:N - K + 1]
@@ -196,14 +189,12 @@ def load_descriptor(path):
         raise ValueError("a code descriptor is a JSON object with 'n' and 'frozen_indices'")
     if not isinstance(desc["frozen_indices"], list):
         raise ValueError(f"frozen_indices must be a list, got {desc['frozen_indices']!r}")
-    n = check_integer(desc["n"], "n")
-    N = _block_length(n)
-    frozen = sorted(check_integer(i, "a frozen index") for i in desc["frozen_indices"])
+    n = check_integer(desc["n"], "n", 0)
+    N = 1 << n
+    frozen = sorted(check_integer(i, "a frozen index", 0, N) for i in desc["frozen_indices"])
     repeated = sorted({a for a, b in zip(frozen, frozen[1:]) if a == b})
     if repeated:
         raise ValueError(f"frozen_indices repeats {repeated}")
-    if frozen and not 0 <= frozen[0] <= frozen[-1] < N:
-        raise ValueError("frozen_indices out of range")
     try:
         flags = np.ones(N, dtype=np.uint8)
     except MemoryError:

@@ -4,7 +4,8 @@ A cached GF(2) matrix form of the register map attaches and checks CRCs
 over frame batches (a CRC with a fixed init value is affine in the message
 bits); the bitwise register reference is ``crc_bits`` in the tests.
 The module imports nothing else of the package, so it also owns the input
-rules that other modules share: field types, integers, bits and CRC fit.
+rules that other modules share: field types, integers and their bounds,
+bits and CRC fit.
 """
 
 import numbers
@@ -17,10 +18,14 @@ __all__ = ["CrcSpec", "CRC8", "CRC16", "CRC_NAMES", "crc_by_name", "crc_attach",
            "crc_check_batch"]
 
 
-def check_integer(value, name):
+def check_integer(value, name, low=None, high=None):
+    """``value``, refused unless it is an integer with ``low <= value < high``
+    (no bound where None; ``high`` only with ``low``)."""
     # 4.7 must not read as 4, nor true as 1
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or low is not None and value < low or high is not None and value >= high):
+        bounds = "" if low is None else f" >= {low}" if high is None else f" in [{low}, {high})"
+        raise ValueError(f"{name} must be an integer{bounds}, got {value!r}")
     return value
 
 
@@ -52,13 +57,10 @@ class CrcSpec:
     final_xor: int = 0
 
     def __post_init__(self):
-        check_field_types(self)
-        if self.width < 1:
-            raise ValueError(f"CRC width must be >= 1, got {self.width}")
+        check_integer(self.width, "CRC width", 1)
         for name in ("polynomial", "init", "final_xor"):
-            value = getattr(self, name)
-            if not 0 <= value < 1 << int(self.width):
-                raise ValueError(f"CRC {name} must be in [0, 2**width), got {value}")
+            check_integer(getattr(self, name), f"CRC {name}", 0, 1 << int(self.width))
+        check_field_types(self)
 
 
 CRC8 = CrcSpec(width=8, polynomial=0x07)

@@ -13,13 +13,11 @@ same number of alive paths at any point, because forks depend only on the
 frozen pattern.  ``select_output`` picks each frame's winner.
 """
 
-import numbers
-
 import numpy as np
 
 from .classify import leaves_only_plan
 from .codec import _llr_batch, _one_frame, combine, f_step, g_step, polar_transform
-from .crc import CRC_NAMES, CrcSpec, check_fits, crc_check_batch
+from .crc import CRC_NAMES, CrcSpec, check_fits, check_integer, crc_check_batch
 
 __all__ = ["scl_decode", "scl_decode_batch", "scl_decode_paths_batch", "select_output"]
 
@@ -194,11 +192,6 @@ def _extend_node(ps, alpha, plan):
     return _NODE_EXTENDERS[plan.kind](ps, alpha, plan)
 
 
-def check_list_size(L, name="list size L"):
-    if type(L) is bool or not isinstance(L, numbers.Integral) or L < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {L!r}")
-
-
 def check_crc(crc, code):
     if crc is not None and not isinstance(crc, CrcSpec):
         raise ValueError(f"crc must be None or a CrcSpec (in a config file: one of "
@@ -209,7 +202,7 @@ def check_crc(crc, code):
 
 def _decode_paths(alpha, plan, L):
     """Walk ``plan`` over (N, B) LLRs; returns (u (B, P, N), pm) sorted by metric."""
-    check_list_size(L)
+    check_integer(L, "list size L", 1)
     ps = PathSet(alpha.shape[1], L)
     beta, _ = _extend_node(ps, alpha[:, :, None], plan)
     order = np.argsort(ps.pm, axis=1, kind="stable")

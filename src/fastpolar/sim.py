@@ -22,10 +22,10 @@ import numpy as np
 from .classify import PlanOptions, classify
 from .codec import _llr_limit, check_minsum, encode, sc_decode_batch
 from .construction import PolarCode, _channel_mean, load_descriptor
-from .crc import CrcSpec, check_field_types, crc_attach, crc_by_name
+from .crc import CrcSpec, check_field_types, check_integer, crc_attach, crc_by_name
 from .fastsc import fast_ssc_decode_batch
 from .fastscl import fast_scl_decode_batch
-from .listdec import check_crc, check_list_size, scl_decode_batch
+from .listdec import check_crc, scl_decode_batch
 
 __all__ = ["DECODERS", "LIST_DECODERS", "SimConfig", "SimPoint", "SimResult", "awgn_bpsk_llrs",
            "run_bler", "batch_decoder", "load_sim_config"]
@@ -46,7 +46,7 @@ LIST_DECODERS = frozenset({"scl", "ssclspc"})  # the decoders that take a list s
 def check_decoder(name, list_size):
     if not isinstance(name, str) or name not in DECODERS:
         raise ValueError(f"decoder must be one of {tuple(DECODERS)}, got {name!r}")
-    check_list_size(list_size, "list_size")
+    check_integer(list_size, "list_size", 1)
     if list_size != 1 and name not in LIST_DECODERS:
         raise ValueError(f"list_size applies only to the list decoders "
                          f"{sorted(LIST_DECODERS)}; {name} needs list_size 1")
@@ -71,7 +71,7 @@ def _channel_llrs(x, sigma, noise):
     return noise
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
     code: PolarCode
     decoder: str = "sc"
@@ -89,14 +89,14 @@ class SimConfig:
     batch: int = 1024
 
     def __post_init__(self):
+        if not isinstance(self.code, PolarCode):
+            raise ValueError(f"code must be a PolarCode, got {self.code!r}")
         check_decoder(self.decoder, self.list_size)
+        for name in ("min_errors", "max_frames", "batch"):
+            check_integer(getattr(self, name), name, 1)
+        check_integer(self.seed, "seed", 0, 1 << 64)  # the Philox key holds 64 bits of it
         check_field_types(self)
         check_minsum(self.minsum)
-        for name in ("min_errors", "max_frames", "batch"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if not 0 <= self.seed < 1 << 64:  # the Philox key holds 64 bits of it
-            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         self.plan_options()  # only the node-set ladder's rungs are accepted
         if not isinstance(self.snr_db, (list, tuple, np.ndarray)) or not all(
                 isinstance(s, numbers.Real) and not isinstance(s, bool) for s in self.snr_db):
@@ -106,7 +106,7 @@ class SimConfig:
             raise ValueError(f"snr_db must be finite, got {snr}")
         if not snr or any(b <= a for a, b in zip(snr, snr[1:])):
             raise ValueError("snr_db must be nonempty and strictly increasing")
-        self.snr_db = snr
+        object.__setattr__(self, "snr_db", snr)  # how a frozen dataclass stores a normalised field
         if self.snr_unit not in ("ebn0", "esn0"):
             raise ValueError("snr_unit must be 'ebn0' or 'esn0'")
         check_crc(self.crc, self.code)

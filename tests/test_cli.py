@@ -178,9 +178,9 @@ def _bad_inputs(tmp_path):
         "desc-no-frozen": (*decode_with("nofrozen", {"n": 3}), "a JSON object with 'n'"),
         # never an n whose 2**n flag bytes the machine could allocate
         "desc-n-62": (*classify_with("n62", 62), "n = 62 is too large"),
-        "desc-n--1": (*classify_with("nneg", -1), "n must be >= 0, got -1"),
+        "desc-n--1": (*classify_with("nneg", -1), "n must be an integer >= 0, got -1"),
         "construct-n--1": (["construct", "-n", "-1", "-K", "0", "--out", str(tmp_path / "x.json")],
-                           "", "n must be >= 0, got -1"),
+                           "", "n must be an integer >= 0, got -1"),
         # built the flags [0 1 0 1 ...] before construct_code checked sigma
         "construct-sigma-inf": (["construct", "-n", "3", "-K", "4", "--sigma", "inf", "--out",
                                  str(tmp_path / "x.json")], "",
@@ -201,12 +201,13 @@ def _bad_inputs(tmp_path):
         "sim-crc-width-x": (simulate("crcwx", crc={"width": "x", "polynomial": 7}), "",
                             "width must be an integer"),
         "sim-crc-width-0": (simulate("crcw0", crc={"width": 0, "polynomial": 7}), "",
-                            "CRC width must be >= 1"),
+                            "CRC width must be an integer >= 1, got 0"),
         "sim-crc-reflect-yes": (simulate("crcref", crc={"width": 4, "polynomial": 7,
                                                          "reflect": "yes"}), "",
                                 "reflect must be true or false"),
         **{f"sim-crc-poly-{p}": (simulate(f"crcpoly{p}", crc={"width": 4, "polynomial": p}), "",
-                                 "CRC polynomial must be in [0, 2**width)") for p in (-3, 0x1F)},
+                                 f"CRC polynomial must be an integer in [0, 16), got {p}")
+           for p in (-3, 0x1F)},
     }
 
 

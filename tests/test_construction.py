@@ -128,8 +128,10 @@ def test_descriptor_rejects_repeated_frozen_indices(tmp_path, with_k):
 
 
 @pytest.mark.parametrize("desc,message", [
-    ({"n": 3, "frozen_indices": [0, 1, 8]}, "frozen_indices out of range"),
-    ({"n": 3, "frozen_indices": [-1, 0, 1]}, "frozen_indices out of range"),
+    ({"n": 3, "frozen_indices": [0, 1, 8]},
+     r"a frozen index must be an integer in \[0, 8\), got 8"),
+    ({"n": 3, "frozen_indices": [-1, 0, 1]},
+     r"a frozen index must be an integer in \[0, 8\), got -1"),
     ({"n": 3, "K": 4, "frozen_indices": [0, 1, 2]}, "descriptor K inconsistent"),
 ])
 def test_descriptor_rejects_inconsistent_fields(tmp_path, desc, message):
@@ -197,7 +199,7 @@ def test_invalid_parameters():
         construct_code(3, -1, 0.5)
     with pytest.raises(ValueError):
         construct_code(3, 4, 0.0)
-    with pytest.raises(ValueError, match="n must be >= 0, got -1"):
+    with pytest.raises(ValueError, match="n must be an integer >= 0, got -1"):
         construct_code(-1, 0, 0.5)
 
 
@@ -256,8 +258,8 @@ def test_large_branch_stays_above_split(monkeypatch, sigma):
     # 2/sigma^2 is finite here, and 2^3 times it is not
     (4, 1.3e-154, "design_sigma must be a positive number .* got 1.3e-154 at n = 3"),
     (4, True, "design_sigma must be a positive number .* got True at n = 3"),
-    (8.0, 0.5, "K must be an integer, got 8.0"),
-    (True, 0.5, "K must be an integer, got True"),
+    (8.0, 0.5, r"K must be an integer in \[0, 9\), got 8.0"),
+    (True, 0.5, r"K must be an integer in \[0, 9\), got True"),
 ])
 def test_construct_code_rejects_hostile_inputs(K, sigma, message):
     # before these checks: nan raised brentq's error, inf built flags

@@ -1,10 +1,18 @@
+import json
+import traceback
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fastpolar.crc import (CRC8, CRC16, CrcSpec, _affine_map, _crc_batch, crc_attach,
-                           crc_by_name, crc_check_batch)
+from fastpolar.classify import PlanOptions
+from fastpolar.cli import main
+from fastpolar.construction import construct_code, load_descriptor
+from fastpolar.crc import (CRC8, CRC16, CrcSpec, _affine_map, _crc_batch, check_integer,
+                           crc_attach, crc_by_name, crc_check_batch)
+from fastpolar.listdec import scl_decode
+from fastpolar.sim import SimConfig, batch_decoder
 from helpers import crc_bits
 
 
@@ -26,6 +34,84 @@ def test_crc_by_name_refuses_other_names():
         with pytest.raises(ValueError, match=r"unknown CRC .*; choose one of \['none', 'crc8'"):
             crc_by_name(bad)
     assert (crc_by_name("none"), crc_by_name("crc8"), crc_by_name("crc16")) == (None, CRC8, CRC16)
+
+
+def _descriptor(tmp_path, n, frozen):
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps({"n": n, "frozen_indices": frozen}))
+    return path
+
+
+def _cli(argv):
+    try:
+        main(argv)
+    except SystemExit as exc:  # the CLI reports the ValueError it caught as a usage error
+        assert exc.code == 2
+        raise exc.__context__ from None
+
+
+CODE = construct_code(3, 4, 0.5)
+# every public call that takes an integer, with a value outside its bounds,
+# and the message naming the field, its bounds and the value
+INTEGER_BOUNDS = {
+    "construct_code-n": (lambda tmp: construct_code(-1, 0), "n must be an integer >= 0, got -1"),
+    "construct_code-K": (lambda tmp: construct_code(3, 9),
+                         "K must be an integer in [0, 9), got 9"),
+    "load_descriptor-n": (lambda tmp: load_descriptor(_descriptor(tmp, -2, [])),
+                          "n must be an integer >= 0, got -2"),
+    "load_descriptor-index": (lambda tmp: load_descriptor(_descriptor(tmp, 3, [0, 8])),
+                              "a frozen index must be an integer in [0, 8), got 8"),
+    "CrcSpec-width": (lambda tmp: CrcSpec(width=0, polynomial=0),
+                      "CRC width must be an integer >= 1, got 0"),
+    "CrcSpec-width-type": (lambda tmp: CrcSpec(width="x", polynomial=0),
+                           "CRC width must be an integer >= 1, got 'x'"),
+    "CrcSpec-polynomial": (lambda tmp: CrcSpec(width=8, polynomial=256),
+                           "CRC polynomial must be an integer in [0, 256), got 256"),
+    "CrcSpec-final_xor": (lambda tmp: CrcSpec(width=4, polynomial=3, final_xor=-1),
+                          "CRC final_xor must be an integer in [0, 16), got -1"),
+    "SimConfig-batch": (lambda tmp: SimConfig(code=CODE, batch=0),
+                        "batch must be an integer >= 1, got 0"),
+    "SimConfig-batch-type": (lambda tmp: SimConfig(code=CODE, batch="16"),
+                             "batch must be an integer >= 1, got '16'"),
+    "SimConfig-max_frames": (lambda tmp: SimConfig(code=CODE, max_frames=-5),
+                             "max_frames must be an integer >= 1, got -5"),
+    "SimConfig-seed": (lambda tmp: SimConfig(code=CODE, seed=2**64),
+                       f"seed must be an integer in [0, {2**64}), got {2**64}"),
+    "SimConfig-list_size": (lambda tmp: SimConfig(code=CODE, decoder="scl", list_size=2.5),
+                            "list_size must be an integer >= 1, got 2.5"),
+    "scl_decode": (lambda tmp: scl_decode(np.ones(8), CODE, 0),
+                   "list size L must be an integer >= 1, got 0"),
+    "batch_decoder": (lambda tmp: batch_decoder("ssclspc", CODE, PlanOptions(), True, None),
+                      "list_size must be an integer >= 1, got True"),
+    "cli-decode-list": (lambda tmp: _cli(["decode", "--code", str(_descriptor(tmp, 3, [0])),
+                                          "--algo", "scl", "--list", "0"]),
+                        "--list must be an integer >= 1, got 0"),
+    "cli-construct-n": (lambda tmp: _cli(["construct", "-n", "-1", "-K", "0",
+                                          "--out", str(tmp / "x.json")]),
+                        "n must be an integer >= 0, got -1"),
+}
+
+
+@pytest.mark.parametrize("case", INTEGER_BOUNDS)
+def test_integer_bounds_raise_from_check_integer(tmp_path, case):
+    call, message = INTEGER_BOUNDS[case]
+    with pytest.raises(ValueError) as exc:
+        call(tmp_path)
+    assert str(exc.value) == message
+    assert traceback.extract_tb(exc.tb)[-1].name == "check_integer"
+
+
+def test_check_integer_bounds():
+    for value, low, high in ((0, None, None), (-7, None, None), (3, 3, None), (3, 0, 4),
+                             (np.int64(2), 1, None), (np.uint8(255), 0, 256)):
+        assert check_integer(value, "x", low, high) is value
+    for value, low, high, bounds in ((4.0, None, None, ""), (True, None, None, ""),
+                                     ("3", 1, None, " >= 1"), (2, 3, None, " >= 3"),
+                                     (4, 0, 4, " in [0, 4)"), (-1, 0, 4, " in [0, 4)"),
+                                     (0.5, 0, 4, " in [0, 4)")):
+        with pytest.raises(ValueError) as exc:
+            check_integer(value, "x", low, high)
+        assert str(exc.value) == f"x must be an integer{bounds}, got {value!r}"
 
 
 def test_attach_rejects_non_bits():

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import fastpolar
@@ -44,26 +45,38 @@ def test_only_codec_imports_inside_a_function():
     assert lazy == [("codec", "fastsc", "_decode_node")]
 
 
+def _raise_texts():
+    """(module, function, the string constants of the function's raise statements)."""
+    for path in sorted(Path(fastpolar.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield path.stem, fn.name, [
+                    str(c.value) for node in ast.walk(fn) if isinstance(node, ast.Raise)
+                    for c in ast.walk(node) if isinstance(c, ast.Constant)]
+
+
 def test_shared_input_rules_raise_from_one_function():
     # the bit, integer and CRC-fit rules live in crc, which every module can import,
     # and each decoder rule next to what it guards; a second function
     # raising one of these messages would be a copy free to drift
     homes = {"must hold only the bits 0 and 1": ("crc", "check_bits"),
-             "must be an integer, got": ("crc", "check_integer"),
+             "must be an integer": ("crc", "check_integer"),
              "the exact f-update was removed": ("codec", "check_minsum"),
-             "must be an integer >= 1, got": ("listdec", "check_list_size"),
              "crc must be None or a CrcSpec": ("listdec", "check_crc"),
              "CRC does not fit in": ("crc", "check_fits"),
              "decoder must be one of": ("sim", "check_decoder"),
              "applies only to the list decoders": ("sim", "check_decoder")}
     raisers = {rule: [] for rule in homes}
-    for path in sorted(Path(fastpolar.__file__).parent.glob("*.py")):
-        for fn in ast.walk(ast.parse(path.read_text())):
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            texts = [str(c.value) for node in ast.walk(fn) if isinstance(node, ast.Raise)
-                     for c in ast.walk(node) if isinstance(c, ast.Constant)]
-            for rule in homes:
-                if any(rule in text for text in texts):
-                    raisers[rule].append((path.stem, fn.name))
+    for module, name, texts in _raise_texts():
+        for rule in homes:
+            if any(rule in text for text in texts):
+                raisers[rule].append((module, name))
     assert raisers == {rule: [home] for rule, home in homes.items()}
+
+
+def test_no_function_but_check_integer_raises_a_bound():
+    # "n must be >= 0" or "K must be in [0, N]" raised anywhere else would be
+    # a second integer rule; check_integer words its bounds outside its raise
+    bound = re.compile(r"must be (>=|>|<=|<|in \[|in \()")
+    assert [(module, name) for module, name, texts in _raise_texts()
+            if any(bound.search(text) for text in texts)] == []

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -141,7 +142,7 @@ def test_config_validation():
             SimConfig(code=code, **{field: 0})
     # the frame key holds 64 bits of the seed: 3 + 2**64 and -1 would alias 3 and 2**64 - 1
     for seed in (-1, 3 + 2**64, 2**64):
-        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+        with pytest.raises(ValueError, match=rf"seed must be an integer in \[0, {2**64}\), got"):
             SimConfig(code=code, seed=seed)
     SimConfig(code=code, seed=2**64 - 1)
     # the SC decoders take no list; a CRC still sets their payload size and Eb/N0
@@ -216,6 +217,30 @@ def test_crc_as_wide_as_k_needs_esn0():
     assert cfg.payload_bits == 0 and run_bler(cfg).points[0].frame_errors == 0
     assert cfg == SimConfig(code=construct_code(4, 8, 0.5), decoder="scl", list_size=4,
                             crc=CRC8, snr_unit="esn0", max_frames=8, batch=4)
+
+
+def test_config_is_a_frozen_value():
+    # a field set after construction skipped every rule: batch = 0 looped
+    # run_bler forever and seed = -1 raised an OverflowError in the frame key
+    cfg = small_cfg(snr_db=[1, 2.5])
+    for field, value in (("batch", 0), ("min_errors", 0), ("seed", -1), ("snr_db", (3.0,))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, field, value)
+    twin = small_cfg(snr_db=(1.0, 2.5))
+    assert cfg.snr_db == (1.0, 2.5) and cfg == twin and hash(cfg) == hash(twin)
+    assert len({cfg, twin, small_cfg(seed=4)}) == 2
+    assert dataclasses.replace(cfg, seed=4) == small_cfg(snr_db=(1, 2.5), seed=4)
+    with pytest.raises(ValueError, match="batch must be an integer >= 1, got 0"):
+        dataclasses.replace(cfg, batch=0)
+
+
+@pytest.mark.parametrize("code", [None, np.array([0, 1]), "code.json", 5])
+def test_config_refuses_a_code_that_is_not_a_polar_code(code):
+    # these used to raise AttributeError: ... has no attribute 'K'
+    with pytest.raises(ValueError, match="code must be a PolarCode, got"):
+        SimConfig(code=code)
+    with pytest.raises(ValueError, match="code must be a PolarCode, got"):
+        SimConfig(code=code, decoder="scl", list_size=4, crc=CRC8)
 
 
 def test_ebn0_needs_payload_bits():
