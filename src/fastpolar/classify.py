@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .crc import check_field_types
+from .crc import check_bool, check_integer
 
 __all__ = ["PlanOptions", "DecodePlan", "classify", "leaves_only_plan", "plan_stats",
            "option_sweep"]
@@ -33,7 +33,9 @@ class PlanOptions:
     max_af: int = 0
 
     def __post_init__(self):
-        check_field_types(self)
+        check_bool(self.enable_grep, "enable_grep")
+        check_bool(self.enable_gpc, "enable_gpc")
+        check_integer(self.max_af, "max_af")
         if astuple(self) not in _LADDER.values():
             raise ValueError(f"(enable_grep, enable_gpc, max_af) = {astuple(self)} is not a "
                              f"rung of the node-set ladder, one of {list(_LADDER.values())}")

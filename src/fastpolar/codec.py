@@ -13,7 +13,7 @@ the entry points check their input once, in ``_llr_batch``.
 import numpy as np
 
 from .classify import leaves_only_plan
-from .crc import check_bits
+from .crc import check_bits, check_bool
 
 __all__ = ["encode", "polar_transform", "sc_decode", "sc_decode_batch"]
 
@@ -89,7 +89,7 @@ def _llr_limit(N):
 
 
 def check_minsum(minsum):
-    if type(minsum) not in (bool, np.bool_) or not minsum:
+    if not check_bool(minsum, "minsum"):
         raise ValueError(f"minsum must be True, got {minsum!r}: the exact f-update was "
                          f"removed, and every decoder uses min-sum")
 

@@ -4,12 +4,12 @@ A cached GF(2) matrix form of the register map attaches and checks CRCs
 over frame batches (a CRC with a fixed init value is affine in the message
 bits); the bitwise register reference is ``crc_bits`` in the tests.
 The module imports nothing else of the package, so it also owns the input
-rules that other modules share: field types, integers and their bounds,
-bits and CRC fit.
+rules that other modules share: bools, integers and their bounds, bits,
+CRC specs and CRC fit.
 """
 
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -37,15 +37,11 @@ def check_bits(values, name):
     return np.ascontiguousarray(values, dtype=np.uint8)
 
 
-def check_field_types(obj):
-    """Reject a dataclass field declared ``int`` or ``bool`` that holds
-    another type (a bool is not an integer here)."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if f.type is int:
-            check_integer(value, f.name)
-        if f.type is bool and not isinstance(value, (bool, np.bool_)):
-            raise ValueError(f"{f.name} must be true or false, got {value!r}")
+def check_bool(value, name):
+    """``value``, refused unless it is a bool (numpy's included): 1 is not true here."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -60,7 +56,7 @@ class CrcSpec:
         check_integer(self.width, "CRC width", 1)
         for name in ("polynomial", "init", "final_xor"):
             check_integer(getattr(self, name), f"CRC {name}", 0, 1 << int(self.width))
-        check_field_types(self)
+        check_bool(self.reflect, "reflect")
 
 
 CRC8 = CrcSpec(width=8, polynomial=0x07)
@@ -76,6 +72,14 @@ def crc_by_name(name):
         raise ValueError(f"unknown CRC {name!r}; choose one of {list(CRC_NAMES)}") from None
 
 
+def check_spec(spec):
+    """``spec``, refused unless it is a CrcSpec; a caller that allows no CRC passes None by."""
+    if not isinstance(spec, CrcSpec):
+        raise ValueError(f"a CRC must be a CrcSpec (in a config file: one of "
+                         f"{list(CRC_NAMES)} or a spec object), got {spec!r}")
+    return spec
+
+
 def check_fits(spec, length):
     if spec.width > length:
         raise ValueError(f"a {spec.width}-bit CRC does not fit in {length} bits")
@@ -84,7 +88,7 @@ def check_fits(spec, length):
 def crc_attach(payload, spec):
     """Append the CRC to every bit vector along the last axis of ``payload``."""
     payload = check_bits(payload, "payload")
-    return np.concatenate([payload, _crc_batch(payload, spec)], axis=-1)
+    return np.concatenate([payload, _crc_batch(payload, check_spec(spec))], axis=-1)
 
 
 @lru_cache(maxsize=32)
@@ -118,6 +122,6 @@ def crc_check_batch(bits, spec):
     """Whether each bit vector along the last axis of ``bits`` ends in its CRC."""
     bits = check_bits(bits, "bits")
     n = bits.shape[-1]
-    check_fits(spec, n)
+    check_fits(check_spec(spec), n)
     expected = _crc_batch(bits[..., :n - spec.width], spec)
     return np.all(expected == bits[..., n - spec.width:], axis=-1)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .classify import leaves_only_plan
 from .codec import _llr_batch, _one_frame, combine, f_step, g_step, polar_transform
-from .crc import CRC_NAMES, CrcSpec, check_fits, check_integer, crc_check_batch
+from .crc import check_fits, check_integer, check_spec, crc_check_batch
 
 __all__ = ["scl_decode", "scl_decode_batch", "scl_decode_paths_batch", "select_output"]
 
@@ -193,11 +193,8 @@ def _extend_node(ps, alpha, plan):
 
 
 def check_crc(crc, code):
-    if crc is not None and not isinstance(crc, CrcSpec):
-        raise ValueError(f"crc must be None or a CrcSpec (in a config file: one of "
-                         f"{list(CRC_NAMES)} or a spec object), got {crc!r}")
-    if crc is not None:
-        check_fits(crc, code.K)
+    if crc is not None:  # None: no CRC
+        check_fits(check_spec(crc), code.K)
 
 
 def _decode_paths(alpha, plan, L):
@@ -222,11 +219,13 @@ def select_output(u, pm, code, crc=None):
     unfrozen payload passes wins; if none passes, fall back to lowest metric.
     """
     check_crc(crc, code)
-    B = u.shape[0]
-    best = np.zeros(B, dtype=np.int64)
+    if np.ndim(pm) != 2 or np.shape(u) != np.shape(pm) + (code.N,):
+        raise ValueError(f"expected paths u of shape (B, P, {code.N}) and metrics pm of "
+                         f"shape (B, P), got {np.shape(u)} and {np.shape(pm)}")
+    rows, best = np.arange(len(u)), np.zeros(len(u), dtype=np.int64)
     if crc is not None:  # a row with no passing path has argmax 0, the lowest metric
         best = np.argmax(crc_check_batch(u.take(code.info_indices, axis=2), crc), axis=1)
-    return u[np.arange(B), best], pm[np.arange(B), best]
+    return u[rows, best], pm[rows, best]
 
 
 def scl_decode_batch(channel_llrs, code, L, crc=None, minsum=True):

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from fastpolar.classify import PlanOptions
 from fastpolar.cli import main
 from fastpolar.construction import construct_code, load_descriptor
-from fastpolar.crc import (CRC8, CRC16, CrcSpec, _affine_map, _crc_batch, check_integer,
-                           crc_attach, crc_by_name, crc_check_batch)
+from fastpolar.crc import (CRC8, CRC16, CrcSpec, _affine_map, _crc_batch, check_bool,
+                           check_integer, crc_attach, crc_by_name, crc_check_batch)
 from fastpolar.listdec import scl_decode
 from fastpolar.sim import SimConfig, batch_decoder
 from helpers import crc_bits
@@ -112,6 +112,62 @@ def test_check_integer_bounds():
         with pytest.raises(ValueError) as exc:
             check_integer(value, "x", low, high)
         assert str(exc.value) == f"x must be an integer{bounds}, got {value!r}"
+
+
+# every public call that takes a bool, with a value of another type
+BOOLS = {
+    "CrcSpec-reflect": (lambda: CrcSpec(width=8, polynomial=7, reflect=1),
+                        "reflect must be true or false, got 1"),
+    "PlanOptions-enable_grep": (lambda: PlanOptions(enable_grep="no"),
+                                "enable_grep must be true or false, got 'no'"),
+    "PlanOptions-enable_gpc": (lambda: PlanOptions(True, 1),
+                               "enable_gpc must be true or false, got 1"),
+    "SimConfig-enable_grep": (lambda: SimConfig(code=CODE, enable_grep=None),
+                              "enable_grep must be true or false, got None"),
+}
+
+
+@pytest.mark.parametrize("case", BOOLS)
+def test_bools_raise_from_check_bool(case):
+    call, message = BOOLS[case]
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+    assert traceback.extract_tb(exc.tb)[-1].name == "check_bool"
+
+
+def test_check_bool():
+    for value in (True, False, np.bool_(True), np.bool_(False)):
+        assert check_bool(value, "x") is value
+    # a 1 or a 1.0 compares equal to True, so a plan option's rung check alone passed them
+    for value in (1, 0, 1.0, "yes", None, np.int64(0)):
+        with pytest.raises(ValueError, match="x must be true or false"):
+            check_bool(value, "x")
+    with pytest.raises(ValueError, match="max_af must be an integer, got 1.0"):
+        PlanOptions(True, True, 1.0)
+
+
+# every call that takes a CRC spec, with something else: each used to raise
+# AttributeError ('str' object has no attribute 'width'), the decoders excepted
+SPECS = {
+    "crc_attach-name": (lambda: crc_attach([0, 1, 1, 0], "crc8"), "'crc8'"),
+    "crc_attach-None": (lambda: crc_attach(np.zeros((2, 5), np.uint8), None), "None"),
+    "crc_check_batch-name": (lambda: crc_check_batch(np.zeros((3, 12), np.uint8), "crc8"),
+                             "'crc8'"),
+    "scl_decode": (lambda: scl_decode(np.ones(8), CODE, 4, crc=8), "8"),
+    "SimConfig": (lambda: SimConfig(code=construct_code(5, 16), crc={"width": 8}),
+                  "{'width': 8}"),
+}
+
+
+@pytest.mark.parametrize("case", SPECS)
+def test_specs_raise_from_check_spec(case):
+    call, got = SPECS[case]
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == (f"a CRC must be a CrcSpec (in a config file: one of "
+                              f"['none', 'crc8', 'crc16'] or a spec object), got {got}")
+    assert traceback.extract_tb(exc.tb)[-1].name == "check_spec"
 
 
 def test_attach_rejects_non_bits():

@@ -56,13 +56,16 @@ def _raise_texts():
 
 
 def test_shared_input_rules_raise_from_one_function():
-    # the bit, integer and CRC-fit rules live in crc, which every module can import,
+    # the bit, bool, integer, CRC-spec and CRC-fit rules live in crc, which every
+    # module can import, the sigma rule (SimConfig's SNRs too) in construction,
     # and each decoder rule next to what it guards; a second function
     # raising one of these messages would be a copy free to drift
     homes = {"must hold only the bits 0 and 1": ("crc", "check_bits"),
+             "must be true or false": ("crc", "check_bool"),
              "must be an integer": ("crc", "check_integer"),
+             "2/sigma": ("construction", "_channel_mean"),
              "the exact f-update was removed": ("codec", "check_minsum"),
-             "crc must be None or a CrcSpec": ("listdec", "check_crc"),
+             "CrcSpec": ("crc", "check_spec"),
              "CRC does not fit in": ("crc", "check_fits"),
              "decoder must be one of": ("sim", "check_decoder"),
              "applies only to the list decoders": ("sim", "check_decoder")}
@@ -80,3 +83,14 @@ def test_no_function_but_check_integer_raises_a_bound():
     bound = re.compile(r"must be (>=|>|<=|<|in \[|in \()")
     assert [(module, name) for module, name, texts in _raise_texts()
             if any(bound.search(text) for text in texts)] == []
+
+
+def test_no_function_reads_field_annotations():
+    # a check keyed on a dataclass field's declared type ran apart from the
+    # field's own rule, and again for a field whose rule had already run
+    reads = [(path.stem, node.attr)
+             for path in sorted(Path(fastpolar.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Attribute) and node.attr in ("type", "__annotations__")
+             or isinstance(node, ast.Name) and node.id == "get_type_hints"]
+    assert reads == []

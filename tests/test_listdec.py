@@ -7,7 +7,7 @@ from fastpolar import listdec
 from fastpolar.classify import PlanOptions, classify
 from fastpolar.codec import f_step, polar_transform
 from fastpolar.construction import construct_code
-from fastpolar.crc import CRC8, CRC16, crc_attach
+from fastpolar.crc import CRC8, CRC16, CrcSpec, crc_attach
 from fastpolar.fastscl import fast_scl_decode, fast_scl_decode_batch
 from fastpolar.listdec import (PathSet, scl_decode, scl_decode_batch, scl_decode_paths_batch,
                                select_output)
@@ -127,6 +127,22 @@ def test_crc_selection_falls_back_to_lowest_metric():
     assert np.array_equal(pm_hat, pm[np.arange(B), best])
 
 
+def test_select_output_refuses_paths_that_do_not_match_the_code():
+    # none was refused with a ValueError: a (2, 4, 16) u for an N = 8 code came
+    # back as (2, 16) winners chosen by the CRC of the wrong positions, a pm of
+    # one path per frame was read beside four, and a 2-D u raised numpy's AxisError
+    code, crc = construct_code(3, 4, 0.5), CrcSpec(2, 3)
+    u, pm = np.zeros((2, 4, 8), dtype=np.uint8), np.zeros((2, 4))
+    for bad_u, bad_pm in ((np.zeros((2, 4, 16), dtype=np.uint8), pm), (u, pm[:, :1]),
+                          (u[:, 0], pm), (u[:, 0], pm[:, 0]), (u, pm[:, :, None])):
+        with pytest.raises(ValueError) as exc:
+            select_output(bad_u, bad_pm, code, crc)
+        assert str(exc.value) == (f"expected paths u of shape (B, P, 8) and metrics pm of shape "
+                                  f"(B, P), got {bad_u.shape} and {bad_pm.shape}")
+    u_hat, pm_hat = select_output(u, pm, code, crc)
+    assert u_hat.shape == (2, 8) and pm_hat.shape == (2,)
+
+
 def test_crc_selection_prefers_passing_path():
     # craft a code where the ML path fails CRC but a close competitor passes
     code = construct_code(5, 16, 0.5)
@@ -172,7 +188,7 @@ def test_single_frame_wrapper():
 
 
 @pytest.mark.parametrize("crc,message", [(CRC16, "a 16-bit CRC does not fit in 8 bits"),
-                                         ("crc8", "crc must be None or a CrcSpec")])
+                                         ("crc8", "a CRC must be a CrcSpec")])
 @pytest.mark.parametrize("decode", ["scl", "scl_batch", "ssclspc", "ssclspc_batch"])
 def test_doomed_crc_is_refused_before_any_fork(monkeypatch, decode, crc, message):
     # the CRC rules run first: a decode that could only end in their error forks no path

@@ -154,13 +154,13 @@ def test_config_validation():
         assert SimConfig(code=wide, decoder=decoder, crc=CRC8).payload_bits == 8
     for decoder in LIST_DECODERS:
         SimConfig(code=wide, decoder=decoder, list_size=8, crc=CRC8)
-    for snr in ((np.nan,), (np.inf,), (1.0, np.inf)):
-        with pytest.raises(ValueError, match="snr_db must be finite"):
+    # NaN or infinite, or sigma or the LLR scale 2/sigma**2 overflows or vanishes:
+    # the design-sigma rule at n + 1 refuses each and names the SNR
+    for snr, bad in (((np.nan,), "nan"), ((np.inf,), "inf"), ((1.0, np.inf), "inf"),
+                     ((-np.inf, 1.0), "-inf"), ((1.0, 4000.0), "4000.0"),
+                     ((1.0, 3080.0), "3080.0"), ((-4000.0, 1.0), "-4000.0")):
+        with pytest.raises(ValueError, match=f"the noise sigma of snr_db {bad} must be"):
             SimConfig(code=code, snr_db=snr)
-    # finite, but sigma or the LLR scale 2/sigma**2 overflows or vanishes
-    for snr in (4000.0, 3080.0, -4000.0):
-        with pytest.raises(ValueError, match=f"snr_db {snr} gives no finite"):
-            SimConfig(code=code, snr_db=(1.0, snr) if snr > 1 else (snr, 1.0))
 
 
 def test_batch_decoder_checks_name_and_list_size():
@@ -255,7 +255,7 @@ def test_ebn0_needs_payload_bits():
 def test_snr_bound_keeps_fg_updates_finite(n, K, bad, good):
     # g-steps add up to N LLRs of about 2/sigma**2: a bound that depends on N
     code = construct_code(n, K, 0.5)
-    with pytest.raises(ValueError, match=f"snr_db {bad} gives no finite"):
+    with pytest.raises(ValueError, match=f"the noise sigma of snr_db {bad} must be"):
         SimConfig(code=code, snr_db=(bad,))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -317,7 +317,7 @@ def test_load_sim_config_rejects_crc_of_wrong_type(tmp_path):
     save_descriptor(construct_code(5, 16, 0.5), tmp_path / "code.json")
     path = tmp_path / "sim.json"
     path.write_text(json.dumps({"code": "code.json", "crc": 8}))
-    with pytest.raises(ValueError, match="crc must be None or a CrcSpec.*crc16"):
+    with pytest.raises(ValueError, match="a CRC must be a CrcSpec.*crc16"):
         load_sim_config(path)
     with pytest.raises(ValueError, match="CrcSpec"):
         SimConfig(code=construct_code(5, 16, 0.5), crc="crc8")
