@@ -11,7 +11,6 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .crc import check_bits, check_integer
 
@@ -27,6 +26,45 @@ _M_MIN = 1e-12
 # K-th or (K+1)-th mean with the scalar update, for the scalar recursion's flags:
 # the vectorised means differ from it by 3.3e-13 at most (n 0-12, sigma 0.05-20).
 _CUT_BAND = 1e-9
+_XTOL, _RTOL, _MAXITER = 2e-12, 4 * np.finfo(float).eps, 100  # scipy's brentq defaults
+
+
+def _brentq(f, a, b):
+    """A root of f between a and b by Brent's method (R. P. Brent, Algorithms for
+    Minimization without Derivatives, 1973): a line-by-line port of scipy's
+    scipy/optimize/Zeros/brentq.c at its default tolerances, so it returns
+    scipy.optimize.brentq's float bit for bit, and raises where it raises."""
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = float(f(xpre)), float(f(xcur))  # as scipy reads f: a C double
+    if fpre == 0 or fcur == 0:
+        return xpre if fpre == 0 else xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_MAXITER):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_XTOL + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            good = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)  # else bisect
+            spre, scur = (scur, stry) if good else (sbis, sbis)
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+    raise RuntimeError(f"Failed to converge after {_MAXITER} iterations.")
 
 
 def _log_phi_small(x):
@@ -37,7 +75,7 @@ def _log_phi_large(x):
     return 0.5 * (np.log(np.pi) - np.log(x)) - x / 4.0 + np.log1p(-10.0 / (7.0 * x))
 
 
-_X_SPLIT = brentq(lambda x: _log_phi_small(x) - _log_phi_large(x), 10.0, 20.0)
+_X_SPLIT = _brentq(lambda x: _log_phi_small(x) - _log_phi_large(x), 10.0, 20.0)
 _LP_SPLIT, _LP_TOP = _log_phi_small(_X_SPLIT), _log_phi_small(_M_MIN)
 
 
@@ -54,7 +92,7 @@ def _check_update(m):
         return max(((_A - target) / _B) ** (1.0 / _C), _M_MIN)
     # brackets the root: see test_inv_log_phi_upper_bracket for the proof
     hi = max(4.0 * _X_SPLIT, -8.0 * target)
-    return brentq(lambda x: _log_phi_large(x) - target, _X_SPLIT, hi)
+    return _brentq(lambda x: _log_phi_large(x) - target, _X_SPLIT, hi)
 
 
 def _solve_large(target):
@@ -121,6 +159,7 @@ class PolarCode:
         flags.setflags(write=False)  # a copy, read-only: no one can move K under the code
         object.__setattr__(self, "flags", flags)
         _channel_mean(self.n, self.design_sigma)  # construct_code's rule for any sigma
+        object.__setattr__(self, "design_sigma", float(self.design_sigma))  # JSON writes a float
 
     def __eq__(self, other):
         return isinstance(other, PolarCode) and (self.flags.tobytes(), self.design_sigma) == (

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -114,6 +115,17 @@ def test_descriptor_round_trip(tmp_path):
     assert np.array_equal(loaded.flags, code.flags)
     raw = json.loads(path.read_text())
     assert raw["frozen_indices"] == sorted(raw["frozen_indices"])
+
+
+@pytest.mark.parametrize("sigma", [np.float32(0.5), np.int64(1), Fraction(1, 2)])
+def test_descriptor_round_trip_any_real_sigma(tmp_path, sigma):
+    # a code keeps its sigma as a float: before, json.dump raised a TypeError
+    # half-way and left a truncated descriptor on disk
+    code = construct_code(3, 4, sigma)
+    path = tmp_path / "code.json"
+    save_descriptor(code, path)
+    assert type(code.design_sigma) is float and code.design_sigma == sigma
+    assert load_descriptor(path) == code == construct_code(3, 4, float(sigma))
 
 
 @pytest.mark.parametrize("with_k", [False, True])
@@ -282,3 +294,26 @@ def test_inv_log_phi_upper_bracket():
     t = np.concatenate([top - np.geomspace(1e-12, 1e9, 200_000),
                         np.linspace(top - 40.0, top, 20_000, endpoint=False)])
     assert (_log_phi_large(np.maximum(4 * _X_SPLIT, -8 * t)) <= t).all()
+
+
+def test_brentq_port_matches_scipy(monkeypatch):
+    # the in-repo port returns scipy.optimize.brentq's float bit for bit, on
+    # _X_SPLIT's bracket and on every mean below whose target reaches the
+    # large-branch solve; it refuses what scipy refuses
+    split = lambda x: _log_phi_small(x) - _log_phi_large(x)
+    assert construction._brentq(split, 10.0, 20.0) == _X_SPLIT == optimize.brentq(split, 10.0, 20.0)
+    m = np.concatenate([np.geomspace(_X_SPLIT, 1e9, 12_000), np.linspace(0.0, 200.0, 12_000)])
+    target = construction._check_target(np.where(
+        m < _X_SPLIT, _log_phi_small(m), _log_phi_large(np.maximum(m, _X_SPLIT))))
+    means = m[target < construction._LP_SPLIT].tolist()
+    assert len(means) > 20_000
+    port = np.array([construction._check_update(x) for x in means])
+    monkeypatch.setattr(construction, "_brentq", optimize.brentq)
+    assert port.tobytes() == np.array([construction._check_update(x) for x in means]).tobytes()
+    monkeypatch.undo()
+    for solve in (construction._brentq, optimize.brentq):
+        with pytest.raises(ValueError, match=r"^f\(a\) and f\(b\) must have different signs$"):
+            solve(split, 20.0, 30.0)
+        # a step defeats interpolation: halving 1e300 down to 2e-12 takes over 100 steps
+        with pytest.raises(RuntimeError, match="^Failed to converge after 100 iterations.$"):
+            solve(lambda x: -1.0 if x < 0.3 else 1.0, -1e300, 1e300)

@@ -2,8 +2,11 @@
 
 import ast
 import importlib
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import fastpolar
@@ -94,3 +97,20 @@ def test_no_function_reads_field_annotations():
              if isinstance(node, ast.Attribute) and node.attr in ("type", "__annotations__")
              or isinstance(node, ast.Name) and node.id == "get_type_hints"]
     assert reads == []
+
+
+def test_library_runs_without_scipy(tmp_path):
+    # numpy is the only dependency: with scipy unimportable the package imports,
+    # builds a code whose cut needs the scalar re-solve, and the CLI prices it
+    path = str(tmp_path / "code.json")
+    script = ("import sys\n"
+              "sys.modules['scipy'] = None\n"
+              "from fastpolar.cli import main\n"
+              "from fastpolar.construction import construct_code, save_descriptor\n"
+              f"save_descriptor(construct_code(10, 512), {path!r})\n"
+              f"main(['latency', '--code', {path!r}, '--csv'])\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(fastpolar.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[0] == "decoder,node_set,steps"
